@@ -109,10 +109,7 @@ func run(args []string) error {
 	for done < short && !ctx.Halted {
 		done += core.Run(short - done)
 		if ctx.Halted && ctx.Fault == nil {
-			ctx, err = cpu.NewContext(prog, machine.Memory(), 0x100_0000)
-			if err != nil {
-				return err
-			}
+			ctx.Reset(prog, machine.Memory(), 0x100_0000)
 			core.LoadContext(ctx)
 		}
 	}

@@ -49,7 +49,8 @@ const DefaultStackSize = 64 << 10
 // NewContext prepares a runnable context for prog inside the region starting
 // at base. Program data (if any) is copied to base, the stack pointer is set
 // to the top of the region, and by software convention R28 holds the data
-// base address on entry.
+// base address on entry. It is the only constructor of a runnable context,
+// and it validates prog; restart loops then reuse the context via Reset.
 func NewContext(prog *isa.Program, m *mem.Memory, base uint64) (*ArchContext, error) {
 	if prog == nil {
 		return nil, fmt.Errorf("new context: nil program")
@@ -57,6 +58,19 @@ func NewContext(prog *isa.Program, m *mem.Memory, base uint64) (*ArchContext, er
 	if err := prog.Validate(); err != nil {
 		return nil, fmt.Errorf("new context: %w", err)
 	}
+	ctx := &ArchContext{}
+	ctx.Reset(prog, m, base)
+	return ctx, nil
+}
+
+// Reset reloads prog at base in place: it rewrites the program data at base
+// and sets the context to exactly the value NewContext builds (entry PC,
+// R28 and SP per the load convention, every other register and flag zero,
+// Halted and Fault cleared). It does not validate and does not allocate;
+// prog must be an image that NewContext has already accepted, which holds
+// for any restart of the same load because program images are never
+// mutated after construction.
+func (ctx *ArchContext) Reset(prog *isa.Program, m *mem.Memory, base uint64) {
 	dataSize := prog.DataSize
 	if int64(len(prog.Data)) > dataSize {
 		dataSize = int64(len(prog.Data))
@@ -64,14 +78,14 @@ func NewContext(prog *isa.Program, m *mem.Memory, base uint64) (*ArchContext, er
 	if len(prog.Data) > 0 {
 		m.WriteBytes(base, prog.Data)
 	}
-	ctx := &ArchContext{
+	top := base + uint64(dataSize) + DefaultStackSize
+	*ctx = ArchContext{
 		PC:       prog.Entry,
 		Prog:     prog,
-		CodeBase: base + uint64(dataSize) + DefaultStackSize,
+		CodeBase: top,
 	}
 	ctx.Regs[28] = base // data base pointer convention
-	ctx.Regs[isa.SP] = base + uint64(dataSize) + DefaultStackSize
-	return ctx, nil
+	ctx.Regs[isa.SP] = top
 }
 
 // RegionSize returns the number of bytes NewContext reserves for a program:

@@ -25,9 +25,9 @@ func seedIdleHeavy(tb testing.TB, f *Fleet) {
 // hosts/s (machine-rounds per wall second — the headline scaling figure)
 // and round_ns (barrier-to-barrier wall time). assertAllocs additionally
 // bounds the round loop's steady-state allocation rate, pinning the
-// pooled alert batches, reused stream backing array, and scratch-free
-// coordinator (the barrier-amortization work would silently regress
-// otherwise).
+// pooled alert batches, reused stream backing array, scratch-free
+// coordinator, and in-place ISA program restarts (each would silently
+// regress otherwise).
 func benchFleet(b *testing.B, machines int, noFF bool, seed func(testing.TB, *Fleet), assertAllocs bool) {
 	cfg := DefaultConfig(machines)
 	cfg.Round = 250 * time.Millisecond
@@ -53,9 +53,9 @@ func benchFleet(b *testing.B, machines int, noFF bool, seed func(testing.TB, *Fl
 	if assertAllocs {
 		runtime.ReadMemStats(&m1)
 		perRound := float64(m1.Mallocs-m0.Mallocs) / float64(b.N)
-		// A fast-forwarding steady-state round allocates O(1), not
-		// O(machines): the pre-refactor loop allocated several objects per
-		// machine per round (batch reslices, stream trims, scratch).
+		// A steady-state round allocates O(1), not O(machines): no
+		// per-machine batch reslices, stream trims or scratch, and no
+		// per-halt context for Mixed256's looping catalog programs.
 		if limit := float64(machines) / 4; perRound > limit {
 			b.Errorf("steady-state round allocates %.1f objects (limit %.0f = machines/4); the pooled round loop has regressed", perRound, limit)
 		}
@@ -77,8 +77,8 @@ func BenchmarkFleetScaling(b *testing.B) {
 		seed         func(testing.TB, *Fleet)
 		assertAllocs bool
 	}{
-		{"Mixed256", false, func(tb testing.TB, f *Fleet) { seedWorkloads(tb, f) }, false},
-		{"Mixed256NoFF", true, func(tb testing.TB, f *Fleet) { seedWorkloads(tb, f) }, false},
+		{"Mixed256", false, func(tb testing.TB, f *Fleet) { seedWorkloads(tb, f) }, true},
+		{"Mixed256NoFF", true, func(tb testing.TB, f *Fleet) { seedWorkloads(tb, f) }, true},
 		{"IdleHeavy256", false, seedIdleHeavy, true},
 		{"IdleHeavy256NoFF", true, seedIdleHeavy, false},
 	} {

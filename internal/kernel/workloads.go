@@ -51,12 +51,10 @@ func (w *ISAWorkload) RunSlice(core *cpu.Core, d time.Duration) {
 		if !w.Loop || w.ctx.Fault != nil {
 			return
 		}
-		// Restart for daemon-style workloads.
-		ctx, err := cpu.NewContext(w.prog, w.memo, w.base)
-		if err != nil {
-			return
-		}
-		w.ctx = ctx
+		// Restart for daemon-style workloads. The image was validated once
+		// in NewISAWorkload; LoadContext still runs because detailed mode
+		// drains its timing model there.
+		w.ctx.Reset(w.prog, w.memo, w.base)
 		core.LoadContext(w.ctx)
 	}
 }

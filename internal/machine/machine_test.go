@@ -1,11 +1,13 @@
 package machine
 
 import (
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
 	"time"
 
+	"darkarts/internal/isa"
 	"darkarts/internal/kernel"
 	"darkarts/internal/miner"
 )
@@ -120,5 +122,32 @@ func TestMachineProcFS(t *testing.T) {
 	v, err := m.ProcFS().Read(kernel.ProcThreshold)
 	if err != nil || v != "1000000" {
 		t.Fatalf("threshold readback = %q, %v", v, err)
+	}
+}
+
+// TestSpawnProgramRejectsInvalidImage: validation happens once, at load,
+// so a malformed image is refused before it can reach a core — with the
+// same error the loader has always reported.
+func TestSpawnProgramRejectsInvalidImage(t *testing.T) {
+	m, err := New(testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		bad  isa.Inst
+		what string
+	}{
+		{"bad-branch", isa.Inst{Op: isa.JMP, Imm: 7}, "branch target out of range"},
+		{"bad-reg", isa.Inst{Op: isa.MOVI, Rd: isa.NumRegs}, "register out of range"},
+	} {
+		prog := &isa.Program{Name: tc.name, Code: []isa.Inst{{Op: isa.NOP}, tc.bad, {Op: isa.HALT}}}
+		want := fmt.Sprintf("spawn %s: new context: program %q: instruction 1 (%s): %s", tc.name, tc.name, tc.bad, tc.what)
+		if _, err := m.SpawnProgram(tc.name, prog, 1_000_000, true); err == nil || err.Error() != want {
+			t.Errorf("SpawnProgram(%s) error = %v, want %q", tc.name, err, want)
+		}
+	}
+	if n := len(m.Kernel().Tasks()); n != 0 {
+		t.Fatalf("rejected images left %d tasks behind", n)
 	}
 }

@@ -62,10 +62,7 @@ func CharacterizeProgram(name string, prog *isa.Program, window uint64) (Charact
 			if ctx.Fault != nil {
 				return CharacterizationResult{}, fmt.Errorf("characterize %s: %w", name, ctx.Fault)
 			}
-			ctx, err = cpu.NewContext(prog, machine.Memory(), base)
-			if err != nil {
-				return CharacterizationResult{}, err
-			}
+			ctx.Reset(prog, machine.Memory(), base)
 			core.LoadContext(ctx)
 			if n == 0 {
 				// A program that halts without retiring anything would spin.
