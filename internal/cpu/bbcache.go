@@ -1,9 +1,11 @@
 package cpu
 
 import (
+	"encoding/binary"
 	"math/bits"
 
 	"darkarts/internal/isa"
+	"darkarts/internal/mem"
 	"darkarts/internal/microcode"
 )
 
@@ -374,216 +376,412 @@ func (c *Core) runFastBlocks(maxInsts uint64) uint64 {
 
 // execBlock executes up to limit instructions of blk and returns the number
 // retired plus ok=false on a fault (the faulting instruction is not
-// retired, matching the plain engine). Flags live in a local until an exit
-// point, and the context PC is written once — blocks end at control
-// transfers, so every instruction before the last is straight-line and its
-// PC successor is implied by its index.
+// retired, matching the plain engine). Blocks end at control transfers, so
+// every instruction before the last is straight-line and its PC successor
+// is implied by its index: the context PC, flags and TLB hit count are
+// written back only at the block's exit (exitBlock).
+//
+// Flags live packed in f (see flagZ). LD, LD32, ST and ST32 translate
+// through the core TLB inline: a tag hit on an access that stays inside
+// its page reads or writes the page directly and counts the hit in a local;
+// a miss or a page-straddling access takes the Core.load/Core.store path,
+// which does its own TLB accounting.
 //
 //cryptojack:hotpath
 func (c *Core) execBlock(blk *bbBlock, limit uint64) (uint64, bool) {
 	ctx := c.ctx
 	r := &ctx.Regs
-	f := ctx.Flags
+	tlb := &c.tlb
+	f := packFlags(ctx.Flags)
+	var hits uint64
 	ops := blk.ops
-	n := uint64(len(ops))
-	if limit < n {
-		n = limit
+	if limit < uint64(len(ops)) {
+		ops = ops[:limit]
 	}
-	for i := uint64(0); i < n; i++ {
-		in := ops[i]
+	for i := range ops {
+		in := &ops[i]
 		switch in.Op {
 		case isa.NOP:
 		case isa.MOV:
-			r[in.Rd] = r[in.Rs1]
+			r[in.Rd&regMask] = r[in.Rs1&regMask]
 		case isa.MOVI:
-			r[in.Rd] = uint64(in.Imm)
+			r[in.Rd&regMask] = uint64(in.Imm)
 		case isa.LEA:
-			r[in.Rd] = r[in.Rs1] + uint64(in.Imm)
+			r[in.Rd&regMask] = r[in.Rs1&regMask] + uint64(in.Imm)
 
 		case isa.LD:
-			r[in.Rd] = c.load(r[in.Rs1]+uint64(in.Imm), 8)
+			addr := r[in.Rs1&regMask] + uint64(in.Imm)
+			idx := addr >> mem.PageBits
+			e := idx & tlbMask
+			off := addr & (mem.PageSize - 1)
+			if tlb.tag[e] == idx+1 && off <= mem.PageSize-8 {
+				hits++
+				r[in.Rd&regMask] = binary.LittleEndian.Uint64(tlb.pg[e][off:])
+			} else {
+				r[in.Rd&regMask] = c.load(addr, 8)
+			}
 		case isa.LD32:
-			r[in.Rd] = c.load(r[in.Rs1]+uint64(in.Imm), 4)
+			addr := r[in.Rs1&regMask] + uint64(in.Imm)
+			idx := addr >> mem.PageBits
+			e := idx & tlbMask
+			off := addr & (mem.PageSize - 1)
+			if tlb.tag[e] == idx+1 && off <= mem.PageSize-4 {
+				hits++
+				r[in.Rd&regMask] = uint64(binary.LittleEndian.Uint32(tlb.pg[e][off:]))
+			} else {
+				r[in.Rd&regMask] = c.load(addr, 4)
+			}
 		case isa.LD16:
-			r[in.Rd] = c.load(r[in.Rs1]+uint64(in.Imm), 2)
+			r[in.Rd&regMask] = c.load(r[in.Rs1&regMask]+uint64(in.Imm), 2)
 		case isa.LD8:
-			r[in.Rd] = c.load(r[in.Rs1]+uint64(in.Imm), 1)
+			r[in.Rd&regMask] = c.load(r[in.Rs1&regMask]+uint64(in.Imm), 1)
 		case isa.ST:
-			c.store(r[in.Rs1]+uint64(in.Imm), r[in.Rs2], 8)
+			addr := r[in.Rs1&regMask] + uint64(in.Imm)
+			idx := addr >> mem.PageBits
+			e := idx & tlbMask
+			off := addr & (mem.PageSize - 1)
+			if tlb.tag[e] == idx+1 && off <= mem.PageSize-8 {
+				hits++
+				binary.LittleEndian.PutUint64(tlb.pg[e][off:], r[in.Rs2&regMask])
+			} else {
+				c.store(addr, r[in.Rs2&regMask], 8)
+			}
 		case isa.ST32:
-			c.store(r[in.Rs1]+uint64(in.Imm), r[in.Rs2], 4)
+			addr := r[in.Rs1&regMask] + uint64(in.Imm)
+			idx := addr >> mem.PageBits
+			e := idx & tlbMask
+			off := addr & (mem.PageSize - 1)
+			if tlb.tag[e] == idx+1 && off <= mem.PageSize-4 {
+				hits++
+				binary.LittleEndian.PutUint32(tlb.pg[e][off:], uint32(r[in.Rs2&regMask]))
+			} else {
+				c.store(addr, r[in.Rs2&regMask], 4)
+			}
 		case isa.ST16:
-			c.store(r[in.Rs1]+uint64(in.Imm), r[in.Rs2], 2)
+			c.store(r[in.Rs1&regMask]+uint64(in.Imm), r[in.Rs2&regMask], 2)
 		case isa.ST8:
-			c.store(r[in.Rs1]+uint64(in.Imm), r[in.Rs2], 1)
+			c.store(r[in.Rs1&regMask]+uint64(in.Imm), r[in.Rs2&regMask], 1)
 		case isa.PUSH:
 			r[isa.SP] -= 8
-			c.store(r[isa.SP], r[in.Rs1], 8)
+			c.store(r[isa.SP], r[in.Rs1&regMask], 8)
 		case isa.POP:
-			r[in.Rd] = c.load(r[isa.SP], 8)
+			r[in.Rd&regMask] = c.load(r[isa.SP], 8)
 			r[isa.SP] += 8
 
 		case isa.ADD:
-			a, b := r[in.Rs1], r[in.Rs2]
+			a, b := r[in.Rs1&regMask], r[in.Rs2&regMask]
 			res := a + b
-			f = addFlags(a, b, res)
-			r[in.Rd] = res
+			f = addPacked(a, b, res)
+			r[in.Rd&regMask] = res
 		case isa.ADDI:
-			a, b := r[in.Rs1], uint64(in.Imm)
+			a, b := r[in.Rs1&regMask], uint64(in.Imm)
 			res := a + b
-			f = addFlags(a, b, res)
-			r[in.Rd] = res
+			f = addPacked(a, b, res)
+			r[in.Rd&regMask] = res
 		case isa.SUB:
-			a, b := r[in.Rs1], r[in.Rs2]
+			a, b := r[in.Rs1&regMask], r[in.Rs2&regMask]
 			res := a - b
-			f = subFlags(a, b, res)
-			r[in.Rd] = res
+			f = subPacked(a, b, res)
+			r[in.Rd&regMask] = res
 		case isa.SUBI:
-			a, b := r[in.Rs1], uint64(in.Imm)
+			a, b := r[in.Rs1&regMask], uint64(in.Imm)
 			res := a - b
-			f = subFlags(a, b, res)
-			r[in.Rd] = res
+			f = subPacked(a, b, res)
+			r[in.Rd&regMask] = res
 		case isa.MUL:
-			r[in.Rd] = r[in.Rs1] * r[in.Rs2]
-			f = logicFlags(r[in.Rd])
+			res := r[in.Rs1&regMask] * r[in.Rs2&regMask]
+			r[in.Rd&regMask] = res
+			f = logicPacked(res)
 		case isa.IMUL:
-			r[in.Rd] = uint64(int64(r[in.Rs1]) * int64(r[in.Rs2]))
-			f = logicFlags(r[in.Rd])
+			res := uint64(int64(r[in.Rs1&regMask]) * int64(r[in.Rs2&regMask]))
+			r[in.Rd&regMask] = res
+			f = logicPacked(res)
 		case isa.DIV:
-			if r[in.Rs2] == 0 {
-				ctx.Flags = f
-				ctx.PC = blk.pc + int(i)
+			d := r[in.Rs2&regMask]
+			if d == 0 {
+				c.exitBlock(f, hits, blk.pc+i)
 				c.fault(ErrDivideByZero)
-				return i, false
+				return uint64(i), false
 			}
-			r[in.Rd] = r[in.Rs1] / r[in.Rs2]
-			f = logicFlags(r[in.Rd])
+			res := r[in.Rs1&regMask] / d
+			r[in.Rd&regMask] = res
+			f = logicPacked(res)
 		case isa.MOD:
-			if r[in.Rs2] == 0 {
-				ctx.Flags = f
-				ctx.PC = blk.pc + int(i)
+			d := r[in.Rs2&regMask]
+			if d == 0 {
+				c.exitBlock(f, hits, blk.pc+i)
 				c.fault(ErrDivideByZero)
-				return i, false
+				return uint64(i), false
 			}
-			r[in.Rd] = r[in.Rs1] % r[in.Rs2]
-			f = logicFlags(r[in.Rd])
+			res := r[in.Rs1&regMask] % d
+			r[in.Rd&regMask] = res
+			f = logicPacked(res)
 		case isa.NEG:
-			r[in.Rd] = -r[in.Rs1]
-			f = logicFlags(r[in.Rd])
+			res := -r[in.Rs1&regMask]
+			r[in.Rd&regMask] = res
+			f = logicPacked(res)
 		case isa.INC:
-			r[in.Rd]++
-			f = logicFlags(r[in.Rd])
+			res := r[in.Rd&regMask] + 1
+			r[in.Rd&regMask] = res
+			f = logicPacked(res)
 		case isa.DEC:
-			r[in.Rd]--
-			f = logicFlags(r[in.Rd])
+			res := r[in.Rd&regMask] - 1
+			r[in.Rd&regMask] = res
+			f = logicPacked(res)
 
 		case isa.AND:
-			r[in.Rd] = r[in.Rs1] & r[in.Rs2]
-			f = logicFlags(r[in.Rd])
+			res := r[in.Rs1&regMask] & r[in.Rs2&regMask]
+			r[in.Rd&regMask] = res
+			f = logicPacked(res)
 		case isa.ANDI:
-			r[in.Rd] = r[in.Rs1] & uint64(in.Imm)
-			f = logicFlags(r[in.Rd])
+			res := r[in.Rs1&regMask] & uint64(in.Imm)
+			r[in.Rd&regMask] = res
+			f = logicPacked(res)
 		case isa.OR:
-			r[in.Rd] = r[in.Rs1] | r[in.Rs2]
-			f = logicFlags(r[in.Rd])
+			res := r[in.Rs1&regMask] | r[in.Rs2&regMask]
+			r[in.Rd&regMask] = res
+			f = logicPacked(res)
 		case isa.ORI:
-			r[in.Rd] = r[in.Rs1] | uint64(in.Imm)
-			f = logicFlags(r[in.Rd])
+			res := r[in.Rs1&regMask] | uint64(in.Imm)
+			r[in.Rd&regMask] = res
+			f = logicPacked(res)
 		case isa.XOR:
-			r[in.Rd] = r[in.Rs1] ^ r[in.Rs2]
-			f = logicFlags(r[in.Rd])
+			res := r[in.Rs1&regMask] ^ r[in.Rs2&regMask]
+			r[in.Rd&regMask] = res
+			f = logicPacked(res)
 		case isa.XORI:
-			r[in.Rd] = r[in.Rs1] ^ uint64(in.Imm)
-			f = logicFlags(r[in.Rd])
+			res := r[in.Rs1&regMask] ^ uint64(in.Imm)
+			r[in.Rd&regMask] = res
+			f = logicPacked(res)
 		case isa.NOT:
-			r[in.Rd] = ^r[in.Rs1]
-			f = logicFlags(r[in.Rd])
+			res := ^r[in.Rs1&regMask]
+			r[in.Rd&regMask] = res
+			f = logicPacked(res)
 
 		case isa.SHL:
-			r[in.Rd] = r[in.Rs1] << (r[in.Rs2] & 63)
-			f = logicFlags(r[in.Rd])
+			res := r[in.Rs1&regMask] << (r[in.Rs2&regMask] & 63)
+			r[in.Rd&regMask] = res
+			f = logicPacked(res)
 		case isa.SHLI:
-			r[in.Rd] = r[in.Rs1] << (uint64(in.Imm) & 63)
-			f = logicFlags(r[in.Rd])
+			res := r[in.Rs1&regMask] << (uint64(in.Imm) & 63)
+			r[in.Rd&regMask] = res
+			f = logicPacked(res)
 		case isa.SHR:
-			r[in.Rd] = r[in.Rs1] >> (r[in.Rs2] & 63)
-			f = logicFlags(r[in.Rd])
+			res := r[in.Rs1&regMask] >> (r[in.Rs2&regMask] & 63)
+			r[in.Rd&regMask] = res
+			f = logicPacked(res)
 		case isa.SHRI:
-			r[in.Rd] = r[in.Rs1] >> (uint64(in.Imm) & 63)
-			f = logicFlags(r[in.Rd])
+			res := r[in.Rs1&regMask] >> (uint64(in.Imm) & 63)
+			r[in.Rd&regMask] = res
+			f = logicPacked(res)
 		case isa.SAR:
-			r[in.Rd] = uint64(int64(r[in.Rs1]) >> (r[in.Rs2] & 63))
-			f = logicFlags(r[in.Rd])
+			res := uint64(int64(r[in.Rs1&regMask]) >> (r[in.Rs2&regMask] & 63))
+			r[in.Rd&regMask] = res
+			f = logicPacked(res)
 		case isa.SARI:
-			r[in.Rd] = uint64(int64(r[in.Rs1]) >> (uint64(in.Imm) & 63))
-			f = logicFlags(r[in.Rd])
+			res := uint64(int64(r[in.Rs1&regMask]) >> (uint64(in.Imm) & 63))
+			r[in.Rd&regMask] = res
+			f = logicPacked(res)
 		case isa.ROL:
-			r[in.Rd] = bits.RotateLeft64(r[in.Rs1], int(r[in.Rs2]&63))
-			f = logicFlags(r[in.Rd])
+			res := bits.RotateLeft64(r[in.Rs1&regMask], int(r[in.Rs2&regMask]&63))
+			r[in.Rd&regMask] = res
+			f = logicPacked(res)
 		case isa.ROLI:
-			r[in.Rd] = bits.RotateLeft64(r[in.Rs1], int(uint64(in.Imm)&63))
-			f = logicFlags(r[in.Rd])
+			res := bits.RotateLeft64(r[in.Rs1&regMask], int(uint64(in.Imm)&63))
+			r[in.Rd&regMask] = res
+			f = logicPacked(res)
 		case isa.ROR:
-			r[in.Rd] = bits.RotateLeft64(r[in.Rs1], -int(r[in.Rs2]&63))
-			f = logicFlags(r[in.Rd])
+			res := bits.RotateLeft64(r[in.Rs1&regMask], -int(r[in.Rs2&regMask]&63))
+			r[in.Rd&regMask] = res
+			f = logicPacked(res)
 		case isa.RORI:
-			r[in.Rd] = bits.RotateLeft64(r[in.Rs1], -int(uint64(in.Imm)&63))
-			f = logicFlags(r[in.Rd])
+			res := bits.RotateLeft64(r[in.Rs1&regMask], -int(uint64(in.Imm)&63))
+			r[in.Rd&regMask] = res
+			f = logicPacked(res)
 		case isa.ROL32I:
-			r[in.Rd] = uint64(bits.RotateLeft32(uint32(r[in.Rs1]), int(uint64(in.Imm)&31)))
-			f = logicFlags(r[in.Rd])
+			res := uint64(bits.RotateLeft32(uint32(r[in.Rs1&regMask]), int(uint64(in.Imm)&31)))
+			r[in.Rd&regMask] = res
+			f = logicPacked(res)
 		case isa.ROR32I:
-			r[in.Rd] = uint64(bits.RotateLeft32(uint32(r[in.Rs1]), -int(uint64(in.Imm)&31)))
-			f = logicFlags(r[in.Rd])
+			res := uint64(bits.RotateLeft32(uint32(r[in.Rs1&regMask]), -int(uint64(in.Imm)&31)))
+			r[in.Rd&regMask] = res
+			f = logicPacked(res)
 
 		case isa.CMP:
-			a, b := r[in.Rs1], r[in.Rs2]
-			f = subFlags(a, b, a-b)
+			a, b := r[in.Rs1&regMask], r[in.Rs2&regMask]
+			f = subPacked(a, b, a-b)
 		case isa.CMPI:
-			a, b := r[in.Rs1], uint64(in.Imm)
-			f = subFlags(a, b, a-b)
+			a, b := r[in.Rs1&regMask], uint64(in.Imm)
+			f = subPacked(a, b, a-b)
 		case isa.TEST:
-			f = logicFlags(r[in.Rs1] & r[in.Rs2])
+			f = logicPacked(r[in.Rs1&regMask] & r[in.Rs2&regMask])
 
 		// Control transfers and HALT only appear as a block's final
-		// instruction; each writes flags and PC back and returns.
+		// instruction. A transfer writes the block's state back and
+		// returns; HALT leaves the loop as its last iteration.
 		case isa.JMP:
-			ctx.Flags = f
-			ctx.PC = int(in.Imm)
-			return i + 1, true
+			c.exitBlock(f, hits, int(in.Imm))
+			return uint64(i + 1), true
 		case isa.CALL:
 			r[isa.SP] -= 8
-			c.store(r[isa.SP], uint64(blk.pc)+i+1, 8)
-			ctx.Flags = f
-			ctx.PC = int(in.Imm)
-			return i + 1, true
+			c.store(r[isa.SP], uint64(blk.pc+i+1), 8)
+			c.exitBlock(f, hits, int(in.Imm))
+			return uint64(i + 1), true
 		case isa.RET:
-			ctx.PC = int(c.load(r[isa.SP], 8))
+			target := int(c.load(r[isa.SP], 8))
 			r[isa.SP] += 8
-			ctx.Flags = f
-			return i + 1, true
-		case isa.JE, isa.JNE, isa.JL, isa.JLE, isa.JG, isa.JGE,
-			isa.JB, isa.JBE, isa.JA, isa.JAE:
-			if condTaken(in.Op, f) {
-				ctx.Flags = f
-				ctx.PC = int(in.Imm)
-				return i + 1, true
+			c.exitBlock(f, hits, target)
+			return uint64(i + 1), true
+
+		// Conditional branches test the packed bits directly; not taken,
+		// they fall through past the block's last instruction.
+		case isa.JE:
+			if f&flagZ != 0 {
+				c.exitBlock(f, hits, int(in.Imm))
+				return uint64(i + 1), true
 			}
-			// Not taken: fall through past the block's last instruction.
+		case isa.JNE:
+			if f&flagZ == 0 {
+				c.exitBlock(f, hits, int(in.Imm))
+				return uint64(i + 1), true
+			}
+		case isa.JL:
+			if lessPacked(f) {
+				c.exitBlock(f, hits, int(in.Imm))
+				return uint64(i + 1), true
+			}
+		case isa.JLE:
+			if f&flagZ != 0 || lessPacked(f) {
+				c.exitBlock(f, hits, int(in.Imm))
+				return uint64(i + 1), true
+			}
+		case isa.JG:
+			if f&flagZ == 0 && !lessPacked(f) {
+				c.exitBlock(f, hits, int(in.Imm))
+				return uint64(i + 1), true
+			}
+		case isa.JGE:
+			if !lessPacked(f) {
+				c.exitBlock(f, hits, int(in.Imm))
+				return uint64(i + 1), true
+			}
+		case isa.JB:
+			if f&flagC != 0 {
+				c.exitBlock(f, hits, int(in.Imm))
+				return uint64(i + 1), true
+			}
+		case isa.JBE:
+			if f&(flagC|flagZ) != 0 {
+				c.exitBlock(f, hits, int(in.Imm))
+				return uint64(i + 1), true
+			}
+		case isa.JA:
+			if f&(flagC|flagZ) == 0 {
+				c.exitBlock(f, hits, int(in.Imm))
+				return uint64(i + 1), true
+			}
+		case isa.JAE:
+			if f&flagC == 0 {
+				c.exitBlock(f, hits, int(in.Imm))
+				return uint64(i + 1), true
+			}
 		case isa.HALT:
 			ctx.Halted = true
-			ctx.Flags = f
-			ctx.PC = blk.pc + int(i) + 1
-			return i + 1, true
 
 		default:
-			ctx.Flags = f
-			ctx.PC = blk.pc + int(i)
+			c.exitBlock(f, hits, blk.pc+i)
 			c.fault(ErrInvalidOp)
-			return i, false
+			return uint64(i), false
 		}
 	}
-	ctx.Flags = f
-	ctx.PC = blk.pc + int(n)
-	return n, true
+	c.exitBlock(f, hits, blk.pc+len(ops))
+	return uint64(len(ops)), true
+}
+
+// exitBlock writes execBlock's register-held state back at a block exit:
+// the packed flags, the successor PC and the TLB hits counted inline.
+//
+//cryptojack:hotpath
+func (c *Core) exitBlock(f uint8, hits uint64, pc int) {
+	c.ctx.Flags = unpackFlags(f)
+	c.ctx.PC = pc
+	c.tlb.hits += hits
+}
+
+// Packed condition codes. Inside execBlock the four Flags bits travel as one
+// uint8 in a register: ctx.Flags is packed once on entry and unpacked once
+// at the block's exit, and conditional branches test the bits directly.
+const (
+	flagZ uint8 = 1 << iota
+	flagS
+	flagC
+	flagO
+)
+
+// regMask confines a register field to the register file, so execBlock's
+// register accesses need no bounds check. Masking changes no result because
+// NewContext, the only constructor of a runnable context, rejects any
+// program whose register fields reach NumRegs.
+const regMask = isa.NumRegs - 1
+
+// Compile-time assertion that NumRegs is a power of two (else regMask
+// would alias registers): the array length is non-zero otherwise.
+var _ [0]struct{} = [isa.NumRegs & regMask]struct{}{}
+
+// packFlags encodes f as flagZ|flagS|flagC|flagO bits.
+//
+//cryptojack:hotpath
+func packFlags(f Flags) uint8 {
+	return b2u8(f.Z) | b2u8(f.S)<<1 | b2u8(f.C)<<2 | b2u8(f.O)<<3
+}
+
+// unpackFlags is the inverse of packFlags.
+//
+//cryptojack:hotpath
+func unpackFlags(p uint8) Flags {
+	return Flags{Z: p&flagZ != 0, S: p&flagS != 0, C: p&flagC != 0, O: p&flagO != 0}
+}
+
+// b2u8 converts a bool to 0 or 1; the compiler lowers it to a SETcc.
+//
+//cryptojack:hotpath
+func b2u8(b bool) uint8 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// logicPacked is logicFlags in packed form: Z and S from res, C and O clear.
+//
+//cryptojack:hotpath
+func logicPacked(res uint64) uint8 {
+	return b2u8(res == 0) | uint8(res>>63)<<1
+}
+
+// addPacked is addFlags in packed form. The carry out of a+b is the top bit
+// of (a&b)|((a|b)&^res); signed overflow is the top bit of ^(a^b)&(a^res).
+//
+//cryptojack:hotpath
+func addPacked(a, b, res uint64) uint8 {
+	c := ((a & b) | ((a | b) &^ res)) >> 63
+	o := (^(a ^ b) & (a ^ res)) >> 63
+	return logicPacked(res) | uint8(c)<<2 | uint8(o)<<3
+}
+
+// subPacked is subFlags in packed form. The borrow of a-b is the top bit of
+// (^a&b)|(^(a^b)&res); signed overflow is the top bit of (a^b)&(a^res).
+//
+//cryptojack:hotpath
+func subPacked(a, b, res uint64) uint8 {
+	c := ((^a & b) | (^(a ^ b) & res)) >> 63
+	o := ((a ^ b) & (a ^ res)) >> 63
+	return logicPacked(res) | uint8(c)<<2 | uint8(o)<<3
+}
+
+// lessPacked reports signed less-than (S != O) from packed flags.
+//
+//cryptojack:hotpath
+func lessPacked(f uint8) bool {
+	return (f>>1^f>>3)&1 != 0
 }

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -9,8 +10,9 @@ import (
 )
 
 // bbOutcome is the full observable state compared by the block-cache
-// differential tests: architecture (registers, flags, PC, halt/fault) plus
-// every counter the defense reads.
+// differential tests: architecture (registers, flags, PC, halt/fault),
+// every counter the defense reads, the core TLB counters, and the whole
+// task region of memory plus the number of pages mapped.
 type bbOutcome struct {
 	regs    [isa.NumRegs]uint64
 	flags   Flags
@@ -22,34 +24,63 @@ type bbOutcome struct {
 	cycles  uint64
 	hist    [isa.NumOps]uint64
 	mem     []byte
+	pages   int
+	// traced marks a run with the trace tier on. That tier translates
+	// through a private TLB of its own, so the core TLB counters below
+	// are compared only when neither run is traced.
+	traced    bool
+	tlbHits   uint64
+	tlbMisses uint64
 }
 
-// runBB executes prog to completion (or exhaustion) in fast mode with the
-// block cache on or off, chopped into slices of the given size, applying
-// step(core, machine, totalRetired) before each slice.
-func runBB(t *testing.T, prog *isa.Program, noCache bool, slice uint64,
+// engine selects which fast-mode tier runBB drives.
+type engine int
+
+const (
+	engStep   engine = iota // per-instruction reference loop (NoBlockCache)
+	engBlocks               // block cache with the trace tier off
+	engFull                 // block cache plus superblock traces (the default)
+)
+
+func (e engine) String() string {
+	return [...]string{"step", "blocks", "full"}[e]
+}
+
+// bbBase is where runBB loads programs.
+const bbBase = 0x100_0000
+
+// runBB executes prog to completion in fast mode under the given engine,
+// chopped into slices of the given size, applying step(machine,
+// totalRetired) before each slice. A non-zero budget stops the run once
+// that many instructions have retired (for programs that never halt).
+func runBB(t *testing.T, prog *isa.Program, eng engine, slice, budget uint64,
 	step func(*CPU, uint64)) bbOutcome {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.Cores = 1
 	cfg.Characterize = true
-	cfg.NoBlockCache = noCache
+	cfg.NoBlockCache = eng == engStep
+	cfg.NoTraceCache = eng != engFull
 	machine, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, err := NewContext(prog, machine.Memory(), 0x100_0000)
+	ctx, err := NewContext(prog, machine.Memory(), bbBase)
 	if err != nil {
 		t.Fatal(err)
 	}
 	core := machine.Core(0)
 	core.LoadContext(ctx)
 	var total uint64
-	for !ctx.Halted {
+	for !ctx.Halted && (budget == 0 || total < budget) {
 		if step != nil {
 			step(machine, total)
 		}
-		n := core.Run(slice)
+		want := slice
+		if budget != 0 && budget-total < want {
+			want = budget - total
+		}
+		n := core.Run(want)
 		total += n
 		if n == 0 && !ctx.Halted {
 			t.Fatal("no progress")
@@ -65,8 +96,11 @@ func runBB(t *testing.T, prog *isa.Program, noCache bool, slice uint64,
 		rsx:     bank.RSX(),
 		cycles:  bank.Cycles(),
 		hist:    bank.Histogram(),
-		mem:     machine.Memory().ReadBytes(0x100_0000, 512),
+		mem:     machine.Memory().ReadBytes(bbBase, int(RegionSize(prog))),
+		pages:   machine.Memory().Pages(),
+		traced:  eng == engFull,
 	}
+	out.tlbHits, out.tlbMisses = core.TLBStats()
 	if ctx.Fault != nil {
 		out.fault = ctx.Fault.Error()
 	}
@@ -99,26 +133,37 @@ func requireSameOutcome(t *testing.T, label string, a, b bbOutcome) {
 	if a.hist != b.hist {
 		t.Fatalf("%s: per-op histogram diverges", label)
 	}
+	if len(a.mem) != len(b.mem) {
+		t.Fatalf("%s: compared %d vs %d bytes of memory", label, len(a.mem), len(b.mem))
+	}
 	for i := range a.mem {
 		if a.mem[i] != b.mem[i] {
 			t.Fatalf("%s: memory diverges at +%d", label, i)
 		}
 	}
+	if a.pages != b.pages {
+		t.Fatalf("%s: %d vs %d pages mapped", label, a.pages, b.pages)
+	}
+	if !a.traced && !b.traced && (a.tlbHits != b.tlbHits || a.tlbMisses != b.tlbMisses) {
+		t.Fatalf("%s: TLB hits/misses %d/%d vs %d/%d", label, a.tlbHits, a.tlbMisses, b.tlbHits, b.tlbMisses)
+	}
 }
 
 // TestDifferentialBlockCacheVsStep is the block-cache equivalence property
-// test: over the fuzz corpus, the cached engine must be bit-identical to the
-// per-instruction reference loop — registers, flags, memory and all counter
-// values — both for whole-program runs and for tiny slices that split
-// blocks at arbitrary points.
+// test: over the fuzz corpus, the cached engine, with and without traces,
+// must be bit-identical to the per-instruction reference loop — registers,
+// flags, memory and all counter values — both for whole-program runs and
+// for tiny slices that split blocks at arbitrary points.
 func TestDifferentialBlockCacheVsStep(t *testing.T) {
 	rng := rand.New(rand.NewSource(771))
 	for trial := 0; trial < 40; trial++ {
 		prog := randomProgram(rng)
 		for _, slice := range []uint64{1 << 30, 7} {
-			cached := runBB(t, prog, false, slice, nil)
-			plain := runBB(t, prog, true, slice, nil)
-			requireSameOutcome(t, prog.Name, cached, plain)
+			plain := runBB(t, prog, engStep, slice, 0, nil)
+			for _, eng := range []engine{engBlocks, engFull} {
+				cached := runBB(t, prog, eng, slice, 0, nil)
+				requireSameOutcome(t, fmt.Sprintf("%s/%v/slice=%d", prog.Name, eng, slice), cached, plain)
+			}
 		}
 	}
 }
@@ -147,12 +192,14 @@ func TestBlockCacheFaultIdentity(t *testing.T) {
 		return b.MustBuild()
 	}()
 	for _, prog := range []*isa.Program{divFault, retWild} {
-		cached := runBB(t, prog, false, 1<<30, nil)
-		plain := runBB(t, prog, true, 1<<30, nil)
-		if cached.fault == "" {
-			t.Fatalf("%s: expected a fault", prog.Name)
+		plain := runBB(t, prog, engStep, 1<<30, 0, nil)
+		for _, eng := range []engine{engBlocks, engFull} {
+			cached := runBB(t, prog, eng, 1<<30, 0, nil)
+			if cached.fault == "" {
+				t.Fatalf("%s/%v: expected a fault", prog.Name, eng)
+			}
+			requireSameOutcome(t, prog.Name+"/"+eng.String(), cached, plain)
 		}
-		requireSameOutcome(t, prog.Name, cached, plain)
 	}
 }
 
@@ -173,9 +220,11 @@ func TestBlockCacheTagSwapInvalidation(t *testing.T) {
 		swap := func(m *CPU, total uint64) {
 			m.InstallTagTable(tables[(total/13)%uint64(len(tables))])
 		}
-		cached := runBB(t, prog, false, 13, swap)
-		plain := runBB(t, prog, true, 13, swap)
-		requireSameOutcome(t, prog.Name, cached, plain)
+		plain := runBB(t, prog, engStep, 13, 0, swap)
+		for _, eng := range []engine{engBlocks, engFull} {
+			cached := runBB(t, prog, eng, 13, 0, swap)
+			requireSameOutcome(t, prog.Name+"/"+eng.String(), cached, plain)
+		}
 	}
 
 	// And the invalidation itself must be observable: one swap, one
@@ -291,11 +340,13 @@ func TestBlockCacheBranchIntoBlockMiddle(t *testing.T) {
 	b.Halt()
 	prog := b.MustBuild()
 
-	cached := runBB(t, prog, false, 1<<30, nil)
-	plain := runBB(t, prog, true, 1<<30, nil)
-	requireSameOutcome(t, prog.Name, cached, plain)
-	if cached.regs[1] != 1 || cached.regs[2] != 50 {
-		t.Fatalf("unexpected results r1=%d r2=%d", cached.regs[1], cached.regs[2])
+	plain := runBB(t, prog, engStep, 1<<30, 0, nil)
+	for _, eng := range []engine{engBlocks, engFull} {
+		cached := runBB(t, prog, eng, 1<<30, 0, nil)
+		requireSameOutcome(t, prog.Name+"/"+eng.String(), cached, plain)
+		if cached.regs[1] != 1 || cached.regs[2] != 50 {
+			t.Fatalf("%v: unexpected results r1=%d r2=%d", eng, cached.regs[1], cached.regs[2])
+		}
 	}
 }
 
@@ -451,4 +502,220 @@ func TestBlockCacheRetagGranularity(t *testing.T) {
 	if inv := core.BlockCacheStats().Invalidations; inv != 2 {
 		t.Fatalf("steady-state invalidations = %d, want 2", inv)
 	}
+}
+
+// directedProgram is a straight-line program aimed at the block engine's
+// inline paths. It stores and loads 8 and 4 bytes at every page offset
+// 4088..4095, so the accesses that straddle a page boundary take the slow
+// path. It loads twice from a page nothing writes (R12 and R13 start
+// non-zero and must read back 0, and the page must stay unmapped). It
+// alternates between two pages whose indices differ by 64, so they evict
+// each other from one TLB entry. Then every flag writer meets every
+// conditional branch over edge-case operands; each not-taken branch adds a
+// distinct constant into R20 with LEA (which writes no flags), so a wrong
+// decision anywhere changes R20.
+func directedProgram() *isa.Program {
+	const page = 4096
+	b := isa.NewBuilder("directed")
+	b.Movi(isa.R10, 0x1122_3344_5566_7788)
+	b.Movi(isa.R11, -0x6655_4433_2211_0100)
+	b.Movi(isa.R12, -1)
+	b.Movi(isa.R13, -1)
+	b.OpI(isa.LEA, isa.R5, isa.R28, page)
+	acc := func(r isa.Reg) {
+		b.OpI(isa.ROLI, isa.R7, isa.R7, 5)
+		b.Op3(isa.XOR, isa.R7, isa.R7, r)
+	}
+	// Page-edge accesses: loads of unmapped straddling words first, then
+	// store/load pairs that map pages 1 and 2.
+	for off := int64(4088); off < page; off++ {
+		b.Ld(isa.R6, isa.R5, off)
+		acc(isa.R6)
+		b.Ld32(isa.R6, isa.R5, off)
+		acc(isa.R6)
+	}
+	for off := int64(4088); off < page; off++ {
+		b.St(isa.R5, off, isa.R10)
+		b.Ld(isa.R6, isa.R5, off)
+		acc(isa.R6)
+		b.St32(isa.R5, off, isa.R11)
+		b.Ld32(isa.R6, isa.R5, off)
+		acc(isa.R6)
+		b.Ld(isa.R6, isa.R5, off-8)
+		acc(isa.R6)
+	}
+	// A never-written page: both loads miss and read zero.
+	b.Ld(isa.R12, isa.R28, 10*page+8)
+	b.Ld32(isa.R13, isa.R28, 10*page+8)
+	b.Ld(isa.R6, isa.R28, 10*page+8)
+	acc(isa.R6)
+	// Pages 3 and 67 share TLB entry (index & 63).
+	for k := int64(0); k < 6; k++ {
+		b.St(isa.R28, 3*page+16+8*k, isa.R10)
+		b.St32(isa.R28, 67*page+16+8*k, isa.R11)
+		b.Ld(isa.R6, isa.R28, 3*page+16+8*k)
+		acc(isa.R6)
+		b.Ld32(isa.R6, isa.R28, 67*page+16+8*k)
+		acc(isa.R6)
+		b.St(isa.R28, 67*page+1024+8*k, isa.R6)
+		b.Ld(isa.R6, isa.R28, 67*page+1024)
+		acc(isa.R6)
+	}
+
+	const minInt = -1 << 63
+	pairs := [][2]int64{
+		{0, 0}, {1, 1}, {1, 2}, {2, 1}, {1<<63 - 1, 1}, {minInt, 1},
+		{minInt, -1}, {-1, 1}, {-1, -1}, {0x8000_0000, 31}, {-5, 3},
+	}
+	rrr := []isa.Op{isa.ADD, isa.SUB, isa.MUL, isa.IMUL, isa.DIV, isa.MOD,
+		isa.AND, isa.OR, isa.XOR, isa.SHL, isa.SHR, isa.SAR, isa.ROL, isa.ROR}
+	rri := []isa.Op{isa.ADDI, isa.SUBI, isa.ANDI, isa.ORI, isa.XORI, isa.SHLI,
+		isa.SHRI, isa.SARI, isa.ROLI, isa.RORI, isa.ROL32I, isa.ROR32I}
+	conds := []isa.Op{isa.JE, isa.JNE, isa.JL, isa.JLE, isa.JG, isa.JGE,
+		isa.JB, isa.JBE, isa.JA, isa.JAE}
+	rng := rand.New(rand.NewSource(14))
+	label := 0
+	branches := func() {
+		for _, cc := range conds {
+			skip := fmt.Sprintf("skip%d", label)
+			label++
+			b.Jcc(cc, skip)
+			b.OpI(isa.LEA, isa.R20, isa.R20, rng.Int63n(1<<40))
+			b.Label(skip)
+		}
+	}
+	for _, p := range pairs {
+		writers := []func(){
+			func() { b.Op3(isa.NEG, isa.R3, isa.R1, 0) },
+			func() { b.Op3(isa.NOT, isa.R3, isa.R1, 0) },
+			func() { b.Op3(isa.INC, isa.R1, 0, 0) },
+			func() { b.Op3(isa.DEC, isa.R1, 0, 0) },
+			func() { b.Cmp(isa.R1, isa.R2) },
+			func() { b.Cmpi(isa.R1, p[1]) },
+			func() { b.Emit(isa.Inst{Op: isa.TEST, Rs1: isa.R1, Rs2: isa.R2}) },
+		}
+		for _, op := range rrr {
+			if (op == isa.DIV || op == isa.MOD) && p[1] == 0 {
+				continue
+			}
+			writers = append(writers, func() { b.Op3(op, isa.R3, isa.R1, isa.R2) })
+		}
+		for _, op := range rri {
+			writers = append(writers, func() { b.OpI(op, isa.R3, isa.R1, p[1]) })
+		}
+		for _, w := range writers {
+			b.Movi(isa.R1, p[0])
+			b.Movi(isa.R2, p[1])
+			w()
+			branches()
+		}
+	}
+	b.Halt()
+	prog := b.MustBuild()
+	prog.DataSize = 68 * page
+	return prog
+}
+
+// TestBlockEngineDirected runs directedProgram under the blocks-only and
+// the step engine at every slice size from 1 to maxBlockLen, so every
+// partial-retire point of every block is a Run boundary at least once and
+// must write back exact flags, PC and TLB counts.
+func TestBlockEngineDirected(t *testing.T) {
+	prog := directedProgram()
+	for slice := uint64(1); slice <= maxBlockLen+1; slice++ {
+		label := fmt.Sprintf("slice=%d", slice)
+		plain := runBB(t, prog, engStep, slice, 0, nil)
+		cached := runBB(t, prog, engBlocks, slice, 0, nil)
+		requireSameOutcome(t, label, cached, plain)
+		if cached.fault != "" || !cached.halted {
+			t.Fatalf("%s: run ended in %q, want a clean HALT", label, cached.fault)
+		}
+		if cached.regs[12] != 0 || cached.regs[13] != 0 {
+			t.Fatalf("%s: loads from an unwritten page read %#x, %#x", label, cached.regs[12], cached.regs[13])
+		}
+		if cached.tlbHits == 0 || cached.tlbMisses == 0 {
+			t.Fatalf("%s: TLB hits/misses %d/%d, want both", label, cached.tlbHits, cached.tlbMisses)
+		}
+		// Only the stored-to data pages 1, 2, 3 and 67 are mapped: the loads
+		// from page 10 (and from page 2 before its first store) map nothing.
+		if cached.pages != 4 {
+			t.Fatalf("%s: %d pages mapped, want the 4 stored-to data pages", label, cached.pages)
+		}
+	}
+}
+
+// TestPackedFlagsMatchReference checks the packed-flag helpers against the
+// Flags-valued reference ones over edge-case operands, and that packing
+// round-trips every one of the 16 flag states.
+func TestPackedFlagsMatchReference(t *testing.T) {
+	edges := []uint64{0, 1, 2, 3, 1<<63 - 1, 1 << 63, 1<<63 + 1, 1<<64 - 1, 1<<64 - 2, 0x8000_0000, 0xFFFF_FFFF}
+	for _, a := range edges {
+		for _, b := range edges {
+			if got, want := addPacked(a, b, a+b), packFlags(addFlags(a, b, a+b)); got != want {
+				t.Fatalf("add %#x+%#x: packed %04b, want %04b", a, b, got, want)
+			}
+			if got, want := subPacked(a, b, a-b), packFlags(subFlags(a, b, a-b)); got != want {
+				t.Fatalf("sub %#x-%#x: packed %04b, want %04b", a, b, got, want)
+			}
+			if got, want := logicPacked(a^b), packFlags(logicFlags(a^b)); got != want {
+				t.Fatalf("logic %#x: packed %04b, want %04b", a^b, got, want)
+			}
+		}
+	}
+	for p := uint8(0); p < 16; p++ {
+		if got := packFlags(unpackFlags(p)); got != p {
+			t.Fatalf("pack(unpack(%04b)) = %04b", p, got)
+		}
+	}
+}
+
+// TestPackedBranchAllFlagStates drives every conditional branch through the
+// block engine from each of the 16 flag states, including states no single
+// flag writer produces (Z with C, say), and checks the decision against
+// condTaken and that the flags come back out unchanged.
+func TestPackedBranchAllFlagStates(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Cores = 1
+	machine, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	core := machine.Core(0)
+	for _, op := range []isa.Op{isa.JE, isa.JNE, isa.JL, isa.JLE, isa.JG,
+		isa.JGE, isa.JB, isa.JBE, isa.JA, isa.JAE} {
+		// 0: Jcc 2; 1: MOVI R1, 1 (not taken); 2: HALT
+		prog := &isa.Program{Name: op.String(), Code: []isa.Inst{
+			{Op: op, Imm: 2}, {Op: isa.MOVI, Rd: isa.R1, Imm: 1}, {Op: isa.HALT},
+		}}
+		for p := uint8(0); p < 16; p++ {
+			fl := unpackFlags(p)
+			ctx, err := NewContext(prog, machine.Memory(), bbBase)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx.Flags = fl
+			core.LoadContext(ctx)
+			core.Run(1 << 10)
+			if taken := ctx.Regs[isa.R1] == 0; taken != condTaken(op, fl) {
+				t.Fatalf("%v under %+v: taken=%v, want %v", op, fl, taken, !taken)
+			}
+			if ctx.Flags != fl {
+				t.Fatalf("%v: flags %+v came back as %+v", op, fl, ctx.Flags)
+			}
+		}
+	}
+}
+
+// RequireBlocksMatchStep runs prog for budget instructions, in slices of
+// the given size, under the blocks-only and the step engine, and fails t
+// unless the outcomes are identical; it returns the instructions retired.
+// It is exported for bbcache_miner_test.go, which builds the ISA miners
+// through package workload (an importer of this package) and so is an
+// external test.
+func RequireBlocksMatchStep(t *testing.T, prog *isa.Program, slice, budget uint64) uint64 {
+	t.Helper()
+	cached := runBB(t, prog, engBlocks, slice, budget, nil)
+	requireSameOutcome(t, fmt.Sprintf("%s/slice=%d", prog.Name, slice),
+		cached, runBB(t, prog, engStep, slice, budget, nil))
+	return cached.retired
 }

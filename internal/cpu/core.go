@@ -21,7 +21,7 @@ var (
 	ErrNoContext    = errors.New("no context loaded")
 )
 
-// Retireobserver receives each retired instruction. Only consulted when
+// RetireObserver receives each retired instruction. Only consulted when
 // non-nil; attaching one slows the fast engine, so tracing tools attach it
 // for bounded windows (mirrors running a workload under Intel SDE).
 type RetireObserver interface {
