@@ -3,18 +3,18 @@
 
 GO ?= go
 
-.PHONY: all check vet build test race lint guestlint bench bench-json bench-diff docs docscheck fleet-smoke clean
+.PHONY: all check vet build test race lint guestlint perfbench-check bench bench-json bench-diff docs docscheck fleet-smoke clean
 
-all: check race
+all: check race perfbench-check
 
 check: vet docscheck build test lint guestlint
 
 vet:
 	$(GO) vet ./...
 
-# Invariant linter: the internal/analysis suite (determinism, lockcheck,
-# locksetflow, lockorder, atomiccheck, hotpath, exhaustivedecode, ctrange,
-# hosttaint, statecheck, sharecheck) run over the whole module, sharing
+# Invariant linter: the internal/analysis suite (determinism, locksetflow,
+# lockorder, atomiccheck, hotpath, exhaustivedecode, ctrange, hosttaint,
+# statecheck, sharecheck) run over the whole module, sharing
 # one type-checked load and one call graph. Zero findings is part of the
 # tier-1 gate; -time reports the per-analyzer wall time on stderr
 # (recorded in OBSERVABILITY.md), -budget fails a clean run that blows
@@ -39,6 +39,13 @@ guestlint:
 
 build:
 	$(GO) build ./...
+
+# Benchmark module gate: perfbench/ is its own Go module (it replaces
+# darkarts with ../), so the root `go build ./...` never compiles it. Vet
+# and test it so a change that removes an API the benchmark reads fails
+# here rather than at benchmark time (~20 s).
+perfbench-check:
+	cd perfbench && $(GO) vet . && $(GO) test .
 
 test:
 	$(GO) test ./...

@@ -4,12 +4,12 @@ import (
 	"testing"
 	"time"
 
-	"darkarts/internal/core"
 	"darkarts/internal/cpu"
 	"darkarts/internal/cryptoalg"
 	"darkarts/internal/evasion"
 	"darkarts/internal/isa"
 	"darkarts/internal/kernel"
+	"darkarts/internal/machine"
 	"darkarts/internal/miner"
 	"darkarts/internal/workload"
 )
@@ -23,10 +23,10 @@ import (
 // rotates are rewritten into shift|or sequences (equations 6a/6b).
 func BenchmarkAblationCounterGranularity(b *testing.B) {
 	run := func(tagSet string) float64 {
-		opts := core.DefaultOptions()
+		opts := machine.DefaultOptions()
 		opts.TagSet = tagSet
 		opts.Kernel.Tunables.Period = 5 * time.Second
-		sys, err := core.NewDefenseSystem(opts)
+		sys, err := machine.New(opts)
 		if err != nil {
 			b.Fatal(err)
 		}

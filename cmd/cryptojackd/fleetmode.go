@@ -1,6 +1,6 @@
 package main
 
-// Fleet mode: -fleet N swaps the single DefenseSystem for an
+// Fleet mode: -fleet N swaps the single machine.Machine for an
 // internal/fleet service running N machines in one process, and layers
 // the multi-tenant workload/alert API on the existing /metrics surface.
 

@@ -24,8 +24,8 @@ import (
 	"strconv"
 	"time"
 
-	"darkarts/internal/core"
 	"darkarts/internal/kernel"
+	"darkarts/internal/machine"
 	"darkarts/internal/miner"
 	"darkarts/internal/workload"
 )
@@ -47,8 +47,7 @@ func run(args []string) error {
 	tags := fs.String("tags", "rsx", "decoder tag set: rsx, rsxo, rotate-only")
 	threshold := fs.Uint64("threshold", 0, "override RSX/min threshold (0 = paper default)")
 	period := fs.Duration("period", time.Minute, "monitoring window")
-	parallel := fs.Bool("parallel", true, "execute each quantum on per-core worker goroutines")
-	serial := fs.Bool("serial", false, "force serial quantum execution (overrides -parallel)")
+	parallel := fs.Bool("parallel", true, "execute each quantum on per-core worker goroutines (-parallel=false forces serial)")
 	obsOn := fs.Bool("obs", true, "record observability metrics (see OBSERVABILITY.md)")
 	httpAddr := fs.String("http", "", "serve /metrics (Prometheus) and /stats on this address, e.g. :9090")
 	metricsJSON := fs.String("metrics-json", "", "write a benchjson-schema metrics snapshot here at exit")
@@ -71,14 +70,14 @@ func run(args []string) error {
 		})
 	}
 
-	opts := core.DefaultOptions()
+	opts := machine.DefaultOptions()
 	opts.TagSet = *tags
 	opts.Kernel.Tunables.Period = *period
-	opts.Kernel.Parallel = *parallel && !*serial
+	opts.Kernel.Parallel = *parallel
 	if !*obsOn {
 		opts.Kernel.Obs = nil
 	}
-	sys, err := core.NewDefenseSystem(opts)
+	sys, err := machine.New(opts)
 	if err != nil {
 		return err
 	}
@@ -96,7 +95,7 @@ func run(args []string) error {
 		}
 	}
 
-	fmt.Printf("machine: %s\n", sys.Machine())
+	fmt.Printf("machine: %s\n", sys.CPU())
 	fmt.Printf("scheduler: %s quantum execution\n", modeName(sys.Parallel()))
 	fmt.Printf("tunables: threshold %s RSX/min, window %s\n",
 		mustRead(sys, kernel.ProcThreshold), *period)
@@ -153,7 +152,7 @@ func modeName(parallel bool) string {
 	return "serial"
 }
 
-func mustRead(sys *core.DefenseSystem, path string) string {
+func mustRead(sys *machine.Machine, path string) string {
 	v, err := sys.ProcFS().Read(path)
 	if err != nil {
 		return "?"

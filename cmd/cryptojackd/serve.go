@@ -11,8 +11,8 @@ import (
 	"net"
 	"net/http"
 
-	"darkarts/internal/core"
 	"darkarts/internal/kernel"
+	"darkarts/internal/machine"
 	"darkarts/internal/obs"
 )
 
@@ -42,7 +42,7 @@ func statsHandler(fs *kernel.ProcFS) http.HandlerFunc {
 }
 
 // newMux wires the daemon's HTTP surface.
-func newMux(sys *core.DefenseSystem) *http.ServeMux {
+func newMux(sys *machine.Machine) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", metricsHandler(sys.Obs()))
 	mux.HandleFunc("/stats", statsHandler(sys.ProcFS()))
@@ -52,7 +52,7 @@ func newMux(sys *core.DefenseSystem) *http.ServeMux {
 // serveMetrics binds addr and serves the mux in the background. The
 // returned server is closed by the caller; the listener's address is
 // printed so ":0" works in tests and scripts.
-func serveMetrics(addr string, sys *core.DefenseSystem) (*http.Server, net.Addr, error) {
+func serveMetrics(addr string, sys *machine.Machine) (*http.Server, net.Addr, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, nil, fmt.Errorf("metrics listener: %w", err)

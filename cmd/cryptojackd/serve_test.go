@@ -10,15 +10,15 @@ import (
 	"testing"
 	"time"
 
-	"darkarts/internal/core"
+	"darkarts/internal/machine"
 	"darkarts/internal/miner"
 )
 
-func testSystem(t *testing.T) *core.DefenseSystem {
+func testSystem(t *testing.T) *machine.Machine {
 	t.Helper()
-	opts := core.DefaultOptions()
+	opts := machine.DefaultOptions()
 	opts.Kernel.Tunables.Period = 20 * time.Second
-	sys, err := core.NewDefenseSystem(opts)
+	sys, err := machine.New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}

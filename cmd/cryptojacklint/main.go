@@ -1,7 +1,7 @@
 // Command cryptojacklint is the reproduction's invariant linter: it runs
-// the internal/analysis suite (determinism, lockcheck, locksetflow,
-// lockorder, atomiccheck, hotpath, exhaustivedecode, ctrange, hosttaint,
-// statecheck, sharecheck) over the module and reports every violation of
+// the internal/analysis suite (determinism, locksetflow, lockorder,
+// atomiccheck, hotpath, exhaustivedecode, ctrange, hosttaint, statecheck,
+// sharecheck) over the module and reports every violation of
 // the simulator's machine-checked conventions. All analyzers share one
 // type-checked load of the module; the module-wide analyzers
 // additionally share one call graph and one taint fixpoint. `make lint`
@@ -34,7 +34,6 @@ import (
 	"darkarts/internal/analysis/exhaustivedecode"
 	"darkarts/internal/analysis/hosttaint"
 	"darkarts/internal/analysis/hotpath"
-	"darkarts/internal/analysis/lockcheck"
 	"darkarts/internal/analysis/lockorder"
 	"darkarts/internal/analysis/locksetflow"
 	"darkarts/internal/analysis/sharecheck"
@@ -82,7 +81,6 @@ func run(args []string, stdout, stderr *os.File) int {
 
 	all := []*analysis.Analyzer{
 		determinism.Analyzer,
-		lockcheck.Analyzer,
 		locksetflow.Analyzer,
 		lockorder.Analyzer,
 		atomiccheck.Analyzer,

@@ -88,9 +88,9 @@ func TestListFlag(t *testing.T) {
 		t.Fatalf("cryptojacklint -list: %v\n%s", err, out)
 	}
 	for _, name := range []string{
-		"determinism", "lockcheck", "locksetflow", "lockorder",
-		"atomiccheck", "hotpath", "exhaustivedecode", "ctrange",
-		"hosttaint", "statecheck", "sharecheck",
+		"determinism", "locksetflow", "lockorder", "atomiccheck",
+		"hotpath", "exhaustivedecode", "ctrange", "hosttaint",
+		"statecheck", "sharecheck",
 	} {
 		if !bytes.Contains(out, []byte(name)) {
 			t.Errorf("-list output missing analyzer %q:\n%s", name, out)

@@ -21,7 +21,7 @@ func (m *miner) Stamp() int64 {
 	return time.Now().UnixNano()
 }
 
-// Shares seeds a lockcheck violation: a guarded read without the lock.
+// Shares seeds a locksetflow violation: a guarded read without the lock.
 func (m *miner) Shares() uint64 {
 	return m.shares
 }
@@ -62,7 +62,7 @@ type vault struct {
 	coins uint64 // guarded by mu
 }
 
-// Coins seeds a locksetflow violation the lexical lockcheck cannot see:
+// Coins seeds a locksetflow violation a lexical lock scan cannot see:
 // the lock is taken on one branch only, so it is not held on every path
 // to the access, but a source-order scan sees the Lock call first and
 // stays quiet.

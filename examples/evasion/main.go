@@ -10,11 +10,11 @@ import (
 	"log"
 	"time"
 
-	"darkarts/internal/core"
 	"darkarts/internal/cpu"
 	"darkarts/internal/cryptoalg"
 	"darkarts/internal/evasion"
 	"darkarts/internal/isa"
+	"darkarts/internal/machine"
 	"darkarts/internal/miner"
 )
 
@@ -34,7 +34,7 @@ func main() {
 		plain, hidden, 100*float64(hidden-plain)/float64(plain))
 
 	// --- 2. Multi-threaded splitting -----------------------------------
-	sys, err := core.NewDefenseSystem(fastOpts())
+	sys, err := machine.New(fastOpts())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func main() {
 
 	// --- 3. Throttling sweep -------------------------------------------
 	for _, throttle := range []float64{0.30, 0.50, 0.70, 0.90} {
-		sys, err := core.NewDefenseSystem(fastOpts())
+		sys, err := machine.New(fastOpts())
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -57,8 +57,8 @@ func main() {
 	fmt.Println("beyond ~56% throttle the plain threshold misses; see examples/mlpipeline for the ML extension, and note the collapsing profit.")
 }
 
-func fastOpts() core.Options {
-	opts := core.DefaultOptions()
+func fastOpts() machine.Options {
+	opts := machine.DefaultOptions()
 	opts.Kernel.Tunables.Period = 10 * time.Second
 	return opts
 }

@@ -11,11 +11,11 @@ import (
 	"log"
 	"time"
 
-	"darkarts/internal/core"
 	"darkarts/internal/cpu"
 	"darkarts/internal/cryptoalg"
 	"darkarts/internal/evasion"
 	"darkarts/internal/isa"
+	"darkarts/internal/machine"
 	"darkarts/internal/workload"
 )
 
@@ -46,9 +46,9 @@ func main() {
 		Seed:          1,
 	}
 
-	opts := core.DefaultOptions()
+	opts := machine.DefaultOptions()
 	opts.Kernel.Tunables.Period = 10 * time.Second
-	sys, err := core.NewDefenseSystem(opts)
+	sys, err := machine.New(opts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -61,26 +61,26 @@ func main() {
 	if err := sys.UpdateMicrocode(2, "rsxo"); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("microcode update applied: decoder now tags %s\n", sys.Machine().TagTable())
+	fmt.Printf("microcode update applied: decoder now tags %s\n", sys.CPU().TagTable())
 	detected = sys.RunUntilAlert(40 * time.Second)
 	fmt.Printf("under RSXO tags: detected=%v\n", detected)
 }
 
 func rsxCount(prog *isa.Program, stateOff uint64, tags string) uint64 {
-	opts := core.Options{CPU: func() cpu.Config { c := cpu.DefaultConfig(); c.Cores = 1; return c }(), TagSet: tags}
-	sys, err := core.NewDefenseSystem(opts)
+	opts := machine.Options{CPU: func() cpu.Config { c := cpu.DefaultConfig(); c.Cores = 1; return c }(), TagSet: tags}
+	sys, err := machine.New(opts)
 	if err != nil {
 		log.Fatal(err)
 	}
-	machine := sys.Machine()
-	ctx, err := cpu.NewContext(prog, machine.Memory(), 0x100_0000)
+	hw := sys.CPU()
+	ctx, err := cpu.NewContext(prog, hw.Memory(), 0x100_0000)
 	if err != nil {
 		log.Fatal(err)
 	}
-	machine.Memory().Write(0x100_0000+stateOff, 1, 8)
-	machine.Core(0).LoadContext(ctx)
+	hw.Memory().Write(0x100_0000+stateOff, 1, 8)
+	hw.Core(0).LoadContext(ctx)
 	for !ctx.Halted {
-		machine.Core(0).Run(10_000_000)
+		hw.Core(0).Run(10_000_000)
 	}
-	return machine.Core(0).Counters().RSX()
+	return hw.Core(0).Counters().RSX()
 }

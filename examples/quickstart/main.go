@@ -8,8 +8,8 @@ import (
 	"log"
 	"time"
 
-	"darkarts/internal/core"
 	"darkarts/internal/kernel"
+	"darkarts/internal/machine"
 	"darkarts/internal/miner"
 	"darkarts/internal/workload"
 )
@@ -17,7 +17,7 @@ import (
 func main() {
 	// 1. Build the machine: 4-core out-of-order CPU with RSX decode
 	//    tagging + the modified scheduler (Table I defaults).
-	sys, err := core.NewDefenseSystem(core.DefaultOptions())
+	sys, err := machine.New(machine.DefaultOptions())
 	if err != nil {
 		log.Fatal(err)
 	}

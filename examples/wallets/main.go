@@ -10,7 +10,7 @@ import (
 	"log"
 	"time"
 
-	"darkarts/internal/core"
+	"darkarts/internal/machine"
 	"darkarts/internal/miner"
 	"darkarts/internal/workload"
 )
@@ -20,7 +20,7 @@ func main() {
 
 	fmt.Println("non-mining cryptocurrency applications (1 compressed hour each):")
 	for _, w := range workload.CryptoWalletApps() {
-		sys, err := core.NewDefenseSystem(core.DefaultOptions())
+		sys, err := machine.New(machine.DefaultOptions())
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -32,7 +32,7 @@ func main() {
 	}
 
 	fmt.Println("\nfor contrast, an actual Monero mining service:")
-	sys, err := core.NewDefenseSystem(core.DefaultOptions())
+	sys, err := machine.New(machine.DefaultOptions())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,7 +7,7 @@ import (
 )
 
 // This file holds the AST helpers shared by the lock analyzers
-// (lockcheck, locksetflow, lockorder): mutex-operation recognition,
+// (locksetflow, lockorder): mutex-operation recognition,
 // selector-chain rendering, write detection, and the fresh-local escape
 // exemption.
 

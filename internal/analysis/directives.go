@@ -18,7 +18,7 @@ import (
 //	                        page-table walks): hotpath functions may call
 //	                        it, and it is itself exempt from hotpath rules.
 //	//cryptojack:locked   — the function's contract is "caller holds the
-//	                        mutex"; lockcheck skips its guarded accesses.
+//	                        mutex"; locksetflow skips its guarded accesses.
 const (
 	DirHotpath  = "cryptojack:hotpath"
 	DirColdpath = "cryptojack:coldpath"
@@ -46,7 +46,7 @@ const (
 //
 // The marker goes on the field's line or doc comment; a marker on a
 // type declaration sets the default for all of that struct's fields,
-// overridable per field. It composes with lockcheck's annotation on the
+// overridable per field. It composes with locksetflow's annotation on the
 // same line: `mu sync.Mutex // guarded by mu; cryptojack:state`.
 const (
 	ClassState     = "state"
@@ -58,7 +58,7 @@ const (
 // classRe matches a classification marker in a doc or line comment.
 var classRe = regexp.MustCompile(`cryptojack:(state|derived|hostonly|immutable)\b`)
 
-// guardedRe matches the field annotation lockcheck consumes, e.g.
+// guardedRe matches the field annotation locksetflow consumes, e.g.
 //
 //	tasks []*Task // guarded by mu
 var guardedRe = regexp.MustCompile(`guarded by ([A-Za-z_][A-Za-z0-9_]*)`)

@@ -1,9 +1,7 @@
-// Package locksetflow is the flow-sensitive successor to lockcheck: it
-// verifies `// guarded by <field>` annotations with a must-hold lockset
-// dataflow over the control-flow graph instead of a lexical scan. Where
-// lockcheck approximates branches with a terminating-branch heuristic,
-// locksetflow computes, for every program point, the set of mutexes held
-// on *every* path reaching it:
+// Package locksetflow verifies `// guarded by <field>` annotations with a
+// must-hold lockset dataflow over the control-flow graph instead of a
+// lexical scan. It computes, for every program point, the set of mutexes
+// held on *every* path reaching it:
 //
 //   - a lock acquired on only one branch is not held after the merge
 //     (the branch-leaked lock lexical scans cannot see);

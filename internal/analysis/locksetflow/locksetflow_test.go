@@ -11,3 +11,7 @@ import (
 func TestFlow(t *testing.T) {
 	analysistest.Run(t, locksetflow.Analyzer, filepath.Join("testdata", "src", "flow"))
 }
+
+func TestLocks(t *testing.T) {
+	analysistest.Run(t, locksetflow.Analyzer, filepath.Join("testdata", "src", "locks"))
+}

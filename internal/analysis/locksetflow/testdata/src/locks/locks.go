@@ -1,9 +1,13 @@
-// Package locks is the lockcheck analyzer's fixture: guarded fields with
-// seeded unlocked and read-locked-write accesses.
+// Package locks holds the straight-line guarded-by cases: unlocked reads
+// and writes, a read after Unlock, a write under RLock, a `go` closure,
+// and the lock-placement idioms that must stay quiet.
 package locks
 
 import "sync"
 
+// counterSet carries the straight-line cases: a field guarded from its
+// doc comment, a field guarded from its line comment, and every
+// lock-placement idiom the simulator relies on.
 type counterSet struct {
 	mu sync.Mutex
 	// total is the running sum. guarded by mu
@@ -19,18 +23,18 @@ func (c *counterSet) Good() uint64 {
 }
 
 func (c *counterSet) Bad() uint64 {
-	return c.total // want `read of total is not preceded by c\.mu\.Lock`
+	return c.total // want `read of total in Bad: c\.mu is not held on every path`
 }
 
 func (c *counterSet) BadWrite(n uint64) {
-	c.total += n // want `write of total is not preceded by c\.mu\.Lock`
+	c.total += n // want `write of total in BadWrite: c\.mu is not held on every path`
 }
 
 func (c *counterSet) BadAfterUnlock() int {
 	c.mu.Lock()
 	c.names = append(c.names, "x")
 	c.mu.Unlock()
-	return len(c.names) // want `read of names is not preceded by c\.mu\.Lock`
+	return len(c.names) // want `read of names in BadAfterUnlock: c\.mu is not held on every path`
 }
 
 //cryptojack:locked
@@ -66,7 +70,7 @@ func (c *counterSet) BadClosure() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	go func() {
-		c.total++ // want `write of total is not preceded by c\.mu\.Lock`
+		c.total++ // want `write of total in BadClosure: c\.mu is not held on every path`
 	}()
 }
 
@@ -89,7 +93,7 @@ func (r *table) Len() int {
 
 func (r *table) BadAppend(v int) {
 	r.mu.RLock()
-	r.rows = append(r.rows, v) // want `write of rows under r\.mu\.RLock`
+	r.rows = append(r.rows, v) // want `write of rows in BadAppend under r\.mu\.RLock: writes need the exclusive Lock`
 	r.mu.RUnlock()
 }
 
@@ -100,6 +104,6 @@ func (r *table) GoodAppend(v int) {
 }
 
 func (r *table) Suppressed() int {
-	//lint:ignore lockcheck single-goroutine setup phase, no readers yet
+	//lint:ignore locksetflow single-goroutine setup phase, no readers yet
 	return len(r.rows)
 }

@@ -15,10 +15,16 @@ package fleet
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
 	"strconv"
 	"time"
 )
+
+// maxSubmitBytes caps a POST /api/v1/workloads body. A WorkloadSpec names
+// catalog entries rather than carrying code, so real submissions are a few
+// hundred bytes; anything past the cap is refused with 413.
+const maxSubmitBytes = 64 << 10
 
 // apiError is the JSON error envelope.
 type apiError struct {
@@ -137,8 +143,13 @@ func (f *Fleet) handleWorkloads(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var spec WorkloadSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: "bad body: " + err.Error()})
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes)).Decode(&spec); err != nil {
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, status, apiError{Error: "bad body: " + err.Error()})
 		return
 	}
 	if spec.Tenant == "" {

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -102,6 +103,17 @@ func TestAPISubmitAndAlerts(t *testing.T) {
 	if len(tip.Alerts) != 0 || tip.Trimmed != 0 {
 		t.Fatalf("tip page = %+v", tip)
 	}
+	// Cursors far past the end, including ones 2^63+ past the base, read
+	// an empty page and echo the cursor back.
+	for _, since := range []uint64{math.MaxUint64, 1 << 63} {
+		var far alertsPage
+		if resp := getJSON(t, srv.URL+"/api/v1/alerts?since="+jsonUint(since), &far); resp.StatusCode != http.StatusOK {
+			t.Fatalf("since=%d: status = %d", since, resp.StatusCode)
+		}
+		if len(far.Alerts) != 0 || far.Trimmed != 0 || far.Next != since {
+			t.Fatalf("since=%d page = %+v", since, far)
+		}
+	}
 
 	// Machines listing covers every member.
 	var machines []machineSummary
@@ -140,6 +152,7 @@ func TestAPIErrors(t *testing.T) {
 		{http.MethodPost, "/api/v1/fleet", "", http.StatusMethodNotAllowed},
 		{http.MethodGet, "/api/v1/alerts?since=abc", "", http.StatusBadRequest},
 		{http.MethodGet, "/api/v1/alerts?limit=x", "", http.StatusBadRequest},
+		{http.MethodPost, "/api/v1/workloads", `{"tenant":"` + strings.Repeat("t", maxSubmitBytes) + `"}`, http.StatusRequestEntityTooLarge},
 	}
 	for _, c := range cases {
 		req, _ := http.NewRequest(c.method, srv.URL+c.path, strings.NewReader(c.body))
@@ -147,9 +160,14 @@ func TestAPIErrors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var body apiError
+		err = json.NewDecoder(resp.Body).Decode(&body)
 		resp.Body.Close()
 		if resp.StatusCode != c.status {
 			t.Errorf("%s %s: status = %d, want %d", c.method, c.path, resp.StatusCode, c.status)
+		}
+		if err != nil || body.Error == "" {
+			t.Errorf("%s %s: error body = %+v, %v", c.method, c.path, body, err)
 		}
 	}
 	if n, _ := f.Obs().Value("fleet_api_errors_total", ""); n != float64(len(cases)) {

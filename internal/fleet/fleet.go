@@ -537,7 +537,9 @@ func (f *Fleet) AlertsSince(since uint64, tenant string, limit int) (alerts []Al
 		since = f.baseSeq
 	}
 	next = since
-	for _, a := range f.stream[min(int(since-f.baseSeq), len(f.stream)):] {
+	// Clamp in uint64: a cursor 2^63 or more past the base would wrap
+	// negative as an int.
+	for _, a := range f.stream[min(since-f.baseSeq, uint64(len(f.stream))):] {
 		next = a.Seq + 1
 		if tenant != "" && a.Tenant != tenant {
 			continue

@@ -1,23 +1,22 @@
-package core_test
+package machine
 
 import (
 	"testing"
 	"time"
 
-	"darkarts/internal/core"
 	"darkarts/internal/kernel"
 	"darkarts/internal/miner"
 	"darkarts/internal/workload"
 )
 
-func fastOptions() core.Options {
-	opts := core.DefaultOptions()
+func fastOptions() Options {
+	opts := DefaultOptions()
 	opts.Kernel.Tunables.Period = time.Second
 	return opts
 }
 
-func TestDefenseSystemDetectsMinerAmongApps(t *testing.T) {
-	sys, err := core.NewDefenseSystem(fastOptions())
+func TestMachineDetectsMinerAmongApps(t *testing.T) {
+	m, err := New(fastOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,99 +24,99 @@ func TestDefenseSystemDetectsMinerAmongApps(t *testing.T) {
 	// apps plus the miner. (With many CPU-bound tasks the scheduler
 	// legitimately starves the miner below its full-speed rate.)
 	for _, app := range workload.TableIIApps()[:3] {
-		sys.SpawnApp(app)
+		m.SpawnApp(app)
 	}
-	miner.SpawnMiner(sys.Kernel(), miner.Monero, 0, 4, 1000)
+	miner.SpawnMiner(m.Kernel(), miner.Monero, 0, 4, 1000)
 
 	var alerted []kernel.Alert
-	sys.OnAlert(func(a kernel.Alert) { alerted = append(alerted, a) })
-	if !sys.RunUntilAlert(30 * time.Second) {
+	m.OnAlert(func(a kernel.Alert) { alerted = append(alerted, a) })
+	if !m.RunUntilAlert(30 * time.Second) {
 		t.Fatal("no alert with an unthrottled 4-thread miner running")
 	}
 	if len(alerted) == 0 || alerted[0].Name != "monero" {
 		t.Errorf("alerts = %v", alerted)
 	}
 	// No benign app may have been flagged.
-	for _, a := range sys.Alerts() {
+	for _, a := range m.Alerts() {
 		if a.Name != "monero" {
 			t.Errorf("benign app %s flagged", a.Name)
 		}
 	}
 }
 
-func TestDefenseSystemCleanRunStaysQuiet(t *testing.T) {
-	sys, err := core.NewDefenseSystem(fastOptions())
+func TestMachineCleanRunStaysQuiet(t *testing.T) {
+	m, err := New(fastOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, app := range workload.TableIIApps() {
-		sys.SpawnApp(app)
+		m.SpawnApp(app)
 	}
-	sys.Run(20 * time.Second)
-	if n := len(sys.Alerts()); n != 0 {
+	m.Run(20 * time.Second)
+	if n := len(m.Alerts()); n != 0 {
 		t.Errorf("%d alerts on a clean system", n)
 	}
 }
 
-func TestDefenseSystemMicrocodeUpdate(t *testing.T) {
-	sys, err := core.NewDefenseSystem(fastOptions())
+func TestMachineMicrocodeUpdate(t *testing.T) {
+	m, err := New(fastOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sys.Machine().TagTable().Name(); got != "RSX" {
+	if got := m.CPU().TagTable().Name(); got != "RSX" {
 		t.Fatalf("initial tag set %q", got)
 	}
-	if err := sys.UpdateMicrocode(2, "rsxo"); err != nil {
+	if err := m.UpdateMicrocode(2, "rsxo"); err != nil {
 		t.Fatal(err)
 	}
-	if got := sys.Machine().TagTable().Name(); got != "RSXO" {
+	if got := m.CPU().TagTable().Name(); got != "RSXO" {
 		t.Errorf("after update: %q", got)
 	}
-	if err := sys.UpdateMicrocode(3, "nope"); err == nil {
+	if err := m.UpdateMicrocode(3, "nope"); err == nil {
 		t.Error("unknown tag set accepted")
 	}
 }
 
-func TestDefenseSystemISAProgram(t *testing.T) {
-	sys, err := core.NewDefenseSystem(fastOptions())
+func TestMachineISAProgram(t *testing.T) {
+	m, err := New(fastOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The SHA-3 kernel run flat out at a scaled rate must accumulate RSX.
-	task, err := sys.SpawnProgram("sha3", workload.SHA3Program(), 10_000_000, true)
+	task, err := m.SpawnProgram("sha3", workload.SHA3Program(), 10_000_000, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.Run(2 * time.Second)
+	m.Run(2 * time.Second)
 	if task.RSX().RSXCount() == 0 {
 		t.Error("ISA program accumulated no RSX")
 	}
 }
 
-func TestDefenseSystemTunablesViaProcFS(t *testing.T) {
-	sys, err := core.NewDefenseSystem(fastOptions())
+func TestMachineTunablesViaProcFS(t *testing.T) {
+	m, err := New(fastOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.ProcFS().Write(kernel.ProcThreshold, "1000000"); err != nil {
+	if err := m.ProcFS().Write(kernel.ProcThreshold, "1000000"); err != nil {
 		t.Fatal(err)
 	}
 	// Even a modest app now trips the (absurdly low) threshold.
-	sys.SpawnApp(workload.TableIIApps()[0])
-	if !sys.RunUntilAlert(10 * time.Second) {
+	m.SpawnApp(workload.TableIIApps()[0])
+	if !m.RunUntilAlert(10 * time.Second) {
 		t.Error("lowered threshold did not take effect")
 	}
 }
 
-func TestDefenseSystemRejectsBadOptions(t *testing.T) {
-	opts := core.DefaultOptions()
+func TestMachineRejectsBadOptions(t *testing.T) {
+	opts := DefaultOptions()
 	opts.CPU.Cores = 0
-	if _, err := core.NewDefenseSystem(opts); err == nil {
+	if _, err := New(opts); err == nil {
 		t.Error("bad CPU config accepted")
 	}
-	opts = core.DefaultOptions()
+	opts = DefaultOptions()
 	opts.TagSet = "bogus"
-	if _, err := core.NewDefenseSystem(opts); err == nil {
+	if _, err := New(opts); err == nil {
 		t.Error("bad tag set accepted")
 	}
 }
@@ -128,7 +127,7 @@ func TestRotateOnlyAblationMissesObfuscatedMiner(t *testing.T) {
 	mk := func(tagSet string) int {
 		opts := fastOptions()
 		opts.TagSet = tagSet
-		sys, err := core.NewDefenseSystem(opts)
+		m, err := New(opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,9 +141,9 @@ func TestRotateOnlyAblationMissesObfuscatedMiner(t *testing.T) {
 			InstrPerHour:  1800e9,
 			Seed:          1,
 		}
-		sys.Kernel().Spawn(prof.Name, 1000, workload.NewAppWorkload(prof))
-		sys.Run(15 * time.Second)
-		return len(sys.Alerts())
+		m.Kernel().Spawn(prof.Name, 1000, workload.NewAppWorkload(prof))
+		m.Run(15 * time.Second)
+		return len(m.Alerts())
 	}
 	if n := mk("rotate-only"); n != 0 {
 		t.Errorf("rotate-only counter flagged the rotate-free miner (%d alerts)", n)

@@ -13,6 +13,15 @@
 // every member's cpu.Config — its entries are immutable, so it too adds no
 // ordering between machines.
 //
-// internal/core.DefenseSystem remains the single-host convenience wrapper
-// and delegates to this package.
+// It is also the package a single-host user starts from:
+//
+//	m, _ := machine.New(machine.DefaultOptions())
+//	m.SpawnApp(someWorkloadProfile)
+//	miner.SpawnMiner(m.Kernel(), miner.Monero, 0.3, 4, 1000)
+//	m.Run(2 * time.Minute)
+//	for _, a := range m.Alerts() { fmt.Println(a) }
+//
+// A machine built from DefaultOptions carries an observability registry
+// (Machine.Obs, package obs) whose metrics cover every layer; fleets set
+// Kernel.Obs nil. OBSERVABILITY.md is the catalog.
 package machine

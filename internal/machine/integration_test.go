@@ -1,23 +1,22 @@
-package core_test
+package machine
 
 import (
 	"testing"
 	"time"
 
-	"darkarts/internal/core"
 	"darkarts/internal/evasion"
 	"darkarts/internal/isa"
 	"darkarts/internal/miner"
 	"darkarts/internal/workload"
 )
 
-// isaMinerSystem boots a defense system whose timescales are compressed so
+// isaMinerMachine boots a machine whose timescales are compressed so
 // a real ISA mining program (interpreted at scaledIPS) crosses its
 // detection window within an affordable number of host instructions.
-func isaMinerSystem(t *testing.T, tagSet string) (*core.DefenseSystem, uint64) {
+func isaMinerMachine(t *testing.T, tagSet string) (*Machine, uint64) {
 	t.Helper()
 	const scaledIPS = 40_000_000 // simulated instructions per simulated second
-	opts := core.DefaultOptions()
+	opts := DefaultOptions()
 	opts.TagSet = tagSet
 	opts.Kernel.TimeSlice = 50 * time.Millisecond
 	opts.Kernel.Tunables.Period = 500 * time.Millisecond
@@ -26,11 +25,11 @@ func isaMinerSystem(t *testing.T, tagSet string) (*core.DefenseSystem, uint64) {
 	// threshold of 120M/min sits at ~30% of that — the same relative
 	// position 2.5B holds against Monero's 5.7B on the real machine.
 	opts.Kernel.Tunables.ThresholdPerMin = 120_000_000
-	sys, err := core.NewDefenseSystem(opts)
+	m, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sys, scaledIPS
+	return m, scaledIPS
 }
 
 // TestFullStackISAMinerDetected is the deepest integration path: an actual
@@ -40,17 +39,17 @@ func isaMinerSystem(t *testing.T, tagSet string) (*core.DefenseSystem, uint64) {
 // the tgid structure, which crosses the threshold and raises the alert.
 // No rate models anywhere.
 func TestFullStackISAMinerDetected(t *testing.T) {
-	sys, ips := isaMinerSystem(t, "rsx")
+	m, ips := isaMinerMachine(t, "rsx")
 	header := miner.Header{Height: 9, Time: 7}.Marshal()
 	prog, _ := miner.BuildISAMinerProgram(header, []byte("0123456789abcdef"), 0, 0, 1<<40)
-	task, err := sys.SpawnProgram("xmr-payload", prog, ips, true)
+	task, err := m.SpawnProgram("xmr-payload", prog, ips, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sys.RunUntilAlert(5 * time.Second) {
+	if !m.RunUntilAlert(5 * time.Second) {
 		t.Fatalf("ISA miner not detected (tgid rsx=%d)", task.RSX().RSXCount())
 	}
-	if a := sys.Alerts()[0]; a.Name != "xmr-payload" {
+	if a := m.Alerts()[0]; a.Name != "xmr-payload" {
 		t.Errorf("alert for %q", a.Name)
 	}
 }
@@ -59,17 +58,17 @@ func TestFullStackISAMinerDetected(t *testing.T) {
 // in the mining program rewritten to shift|or sequences (equations 6a/6b):
 // the aggregated RSX counter must still catch it.
 func TestFullStackObfuscatedISAMinerDetected(t *testing.T) {
-	sys, ips := isaMinerSystem(t, "rsx")
+	m, ips := isaMinerMachine(t, "rsx")
 	header := miner.Header{Height: 9, Time: 7}.Marshal()
 	prog, _ := miner.BuildISAMinerProgram(header, []byte("0123456789abcdef"), 0, 0, 1<<40)
 	obf, err := evasion.ObfuscateRotates(prog, isa.R8, isa.R9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.SpawnProgram("xmr-obf", obf, ips, true); err != nil {
+	if _, err := m.SpawnProgram("xmr-obf", obf, ips, true); err != nil {
 		t.Fatal(err)
 	}
-	if !sys.RunUntilAlert(5 * time.Second) {
+	if !m.RunUntilAlert(5 * time.Second) {
 		t.Fatal("rotate-free ISA miner evaded the RSX counter")
 	}
 }
@@ -87,25 +86,25 @@ func TestLiveMicrocodeSwitch(t *testing.T) {
 	b.Jmp("l")
 	prog := b.MustBuild()
 
-	opts := core.DefaultOptions()
+	opts := DefaultOptions()
 	opts.Kernel.Tunables.Period = time.Second
-	sys, err := core.NewDefenseSystem(opts)
+	m, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	task, err := sys.SpawnProgram("or-storm", prog, 20_000_000, true)
+	task, err := m.SpawnProgram("or-storm", prog, 20_000_000, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.Run(2 * time.Second)
+	m.Run(2 * time.Second)
 	before := task.RSX().RSXCount()
 	if before != 0 {
 		t.Fatalf("OR counted under RSX tags: %d", before)
 	}
-	if err := sys.UpdateMicrocode(2, "rsxo"); err != nil {
+	if err := m.UpdateMicrocode(2, "rsxo"); err != nil {
 		t.Fatal(err)
 	}
-	sys.Run(2 * time.Second)
+	m.Run(2 * time.Second)
 	if after := task.RSX().RSXCount(); after == 0 {
 		t.Error("microcode update did not take effect on a running task")
 	}
@@ -114,9 +113,9 @@ func TestLiveMicrocodeSwitch(t *testing.T) {
 // TestManyTenantsOneMiner scales the task count: 40 benign tenants from the
 // registry plus one throttled miner; the miner must be the only alert.
 func TestManyTenantsOneMiner(t *testing.T) {
-	opts := core.DefaultOptions()
+	opts := DefaultOptions()
 	opts.Kernel.Tunables.Period = 2 * time.Second
-	sys, err := core.NewDefenseSystem(opts)
+	m, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +127,7 @@ func TestManyTenantsOneMiner(t *testing.T) {
 		if p.Category == workload.CatBenchmark || p.Category == workload.CatCryptoFunc {
 			continue
 		}
-		sys.SpawnApp(p)
+		m.SpawnApp(p)
 		spawned++
 		if spawned == 40 {
 			break
@@ -137,10 +136,10 @@ func TestManyTenantsOneMiner(t *testing.T) {
 	// Unthrottled: hiding in the tenant crowd rather than via duty cycle.
 	// (Adding a throttle on top of 40 competing tenants pushes the actual
 	// mining rate below threshold — the attacker simply mines less.)
-	minerTasks := miner.SpawnMiner(sys.Kernel(), miner.Monero, 0, 4, 1000)
-	sys.Run(20 * time.Second)
+	minerTasks := miner.SpawnMiner(m.Kernel(), miner.Monero, 0, 4, 1000)
+	m.Run(20 * time.Second)
 
-	alerts := sys.Alerts()
+	alerts := m.Alerts()
 	if len(alerts) == 0 {
 		t.Fatal("miner hidden among 40 tenants was not detected")
 	}

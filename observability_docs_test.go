@@ -15,9 +15,9 @@ import (
 	"testing"
 	"time"
 
-	"darkarts/internal/core"
 	"darkarts/internal/detect"
 	"darkarts/internal/fleet"
+	"darkarts/internal/machine"
 	"darkarts/internal/miner"
 	"darkarts/internal/obs"
 )
@@ -29,7 +29,7 @@ func TestObservabilityDocCoversAllMetrics(t *testing.T) {
 	}
 	text := string(doc)
 
-	sys, err := core.NewDefenseSystem(core.DefaultOptions())
+	sys, err := machine.New(machine.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
