@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all check vet build test race lint guestlint perfbench-check bench bench-json bench-diff docs docscheck fleet-smoke clean
+.PHONY: all check vet build test race lint guestlint perfbench-check bench bench-json bench-diff docs docscheck fleet-smoke fuzz-smoke clean
 
 all: check race perfbench-check
 
@@ -77,6 +77,13 @@ docscheck:
 # it finishes in well under a minute on one CI core.
 fleet-smoke:
 	$(GO) run ./cmd/fleetload -machines 256 -duration 4s -round 500ms -period 3s
+
+# Bounded fuzz smoke over the CPU engines: the block engine, the only
+# fast tier, against the step engine, and every engine against panics.
+# Go fuzzes one target per invocation; 20 s each keeps CI short.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzBlocksDifferential$$' -fuzztime 20s ./internal/cpu
+	$(GO) test -run '^$$' -fuzz '^FuzzExecutorNeverPanics$$' -fuzztime 20s ./internal/cpu
 
 # Race-detect the whole module. The packages the parallel quantum
 # execution touches (scheduler, core engines, counter banks, metrics

@@ -293,9 +293,9 @@ func BenchmarkFastEngineMIPS(b *testing.B) {
 
 // BenchmarkBlockCacheMIPS measures the fast engine on the mining kernels
 // the defense exists to detect — the workloads whose characterization runs
-// dominate the experiment wall clock. Cached is the full engine (block
-// cache + superblock traces), BlocksOnly ablates the trace layer, and
-// Uncached is the per-instruction reference loop, all on the same program.
+// dominate the experiment wall clock. BlocksOnly is the block-cached
+// engine (the default) and Uncached is the per-instruction reference loop,
+// both on the same program.
 func BenchmarkBlockCacheMIPS(b *testing.B) {
 	kernels := []struct {
 		name string
@@ -307,15 +307,13 @@ func BenchmarkBlockCacheMIPS(b *testing.B) {
 	}
 	for _, k := range kernels {
 		for _, mode := range []struct {
-			name     string
-			noCache  bool
-			noTraces bool
-		}{{"Cached", false, false}, {"BlocksOnly", false, true}, {"Uncached", true, false}} {
+			name    string
+			noCache bool
+		}{{"BlocksOnly", false}, {"Uncached", true}} {
 			b.Run(k.name+"/"+mode.name, func(b *testing.B) {
 				cfg := cpu.DefaultConfig()
 				cfg.Cores = 1
 				cfg.NoBlockCache = mode.noCache
-				cfg.NoTraceCache = mode.noTraces
 				machine, err := cpu.New(cfg)
 				if err != nil {
 					b.Fatal(err)
@@ -329,7 +327,8 @@ func BenchmarkBlockCacheMIPS(b *testing.B) {
 				core.LoadContext(ctx)
 				b.ResetTimer()
 				// The kernels hash a fixed message then halt; restart them
-				// daemon-style (as ISAWorkload does) until b.N retire.
+				// in place, daemon-style (as ISAWorkload does), until b.N
+				// retire.
 				var executed uint64
 				for executed < uint64(b.N) {
 					n := core.Run(uint64(b.N) - executed)
@@ -338,10 +337,7 @@ func BenchmarkBlockCacheMIPS(b *testing.B) {
 						if ctx.Fault != nil {
 							b.Fatal(ctx.Fault)
 						}
-						ctx, err = cpu.NewContext(k.prog, machine.Memory(), base)
-						if err != nil {
-							b.Fatal(err)
-						}
+						ctx.Reset(k.prog, machine.Memory(), base)
 						core.LoadContext(ctx)
 					}
 				}

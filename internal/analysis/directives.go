@@ -32,7 +32,7 @@ const (
 //	//cryptojack:state     — persistent simulation state: part of the
 //	                         future snapshot surface, must be restored
 //	                         bit-identically.
-//	//cryptojack:derived   — rebuildable cache (bbcache, traces, TLB,
+//	//cryptojack:derived   — rebuildable cache (bbcache, TLB,
 //	                         pools): snapshot may drop it, a cold rebuild
 //	                         reproduces identical observable behavior.
 //	//cryptojack:hostonly  — host-side handle (obs registries, http,

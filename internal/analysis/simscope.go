@@ -10,9 +10,9 @@ import "strings"
 // whose round barriers extend the serial/parallel bit-identity guarantee
 // to whole fleets (DESIGN.md §5b, FLEET.md); isa and microcode are
 // included because decoded programs and tag tables determine which
-// instructions count as RSX events, and gsa because its profiles seed
-// trace formation and the detection prior — a nondeterministic ranking
-// would make admission verdicts and HotHints differ across runs.
+// instructions count as RSX events, and gsa because its profiles feed
+// admission and the detection prior — a nondeterministic ranking would
+// make admission verdicts differ across runs.
 // Wall-clock or map-order nondeterminism elsewhere (CLI rendering,
 // experiments, obs export) cannot break either guarantee.
 var SimPackages = []string{

@@ -99,10 +99,6 @@ type bbBlock struct {
 	// hist is the per-opcode retire histogram for a full block, applied
 	// only when characterization counters are enabled.
 	hist []opCount
-	// heat counts dispatches of this block at its entry pc; crossing
-	// traceHotThreshold triggers superblock trace construction (trace.go),
-	// after which it pins at traceHeatBlacklist.
-	heat uint16
 }
 
 // blockCache is a core's private translation cache. All state is owned by
@@ -117,32 +113,25 @@ type blockCache struct {
 // progBlocks holds one program's decoded blocks, densely indexed by entry
 // pc (nil = not yet decoded). Entering the middle of a cached block (a
 // branch target, or a slice boundary that split a block) simply decodes a
-// new block starting there; both stay cached. Superblock traces (trace.go)
-// live alongside, indexed the same way (nil slice until the first trace).
+// new block starting there; both stay cached.
 //
 // gen is the tag-table generation this program's pre-counts were computed
 // under. Generation is tracked per program so a firmware swap only touches
 // programs as they next run — a stale program is re-tagged in place
-// (pre-counts recomputed; decode and schedules are tag-independent) rather
-// than the whole cache being dropped.
+// (pre-counts recomputed; decode is tag-independent) rather than the
+// whole cache being dropped.
 //
 //cryptojack:derived
 type progBlocks struct {
 	blocks []*bbBlock
-	traces []*trace
 	gen    uint64
-	// seeded marks pcs the program's HotHints predict are hot loop heads
-	// (gsa.Annotate); blocks entered there use traceSeededHotThreshold
-	// instead of traceHotThreshold. Nil when the program carries no hints,
-	// so unannotated programs pay nothing on the hit path.
-	seeded []bool
 }
 
-// retag recomputes every cached pre-count of one program under a new tag
-// table: block RSX counts and tag masks, and trace RSX pre-counts.
+// retag recomputes every cached block's RSX count and tag mask of one
+// program under a new tag table.
 //
 //cryptojack:coldpath
-func (pb *progBlocks) retag(code []isa.Inst, tags *microcode.TagTable) {
+func (pb *progBlocks) retag(tags *microcode.TagTable) {
 	for _, blk := range pb.blocks {
 		if blk == nil {
 			continue
@@ -156,11 +145,6 @@ func (pb *progBlocks) retag(code []isa.Inst, tags *microcode.TagTable) {
 			}
 		}
 	}
-	for _, tr := range pb.traces {
-		if tr != nil {
-			tr.retag(code, tags)
-		}
-	}
 	pb.gen = tags.Gen()
 }
 
@@ -168,7 +152,7 @@ func (pb *progBlocks) retag(code []isa.Inst, tags *microcode.TagTable) {
 // (all zero when the cache is disabled or bypassed).
 func (c *Core) BlockCacheStats() BBStats { return c.bb.stats }
 
-// invalidate drops every cached block and trace (capacity eviction). The
+// invalidate drops every cached block (capacity eviction). The
 // drop is counted only if there was something to drop, so cold starts do
 // not report an invalidation.
 //
@@ -193,14 +177,6 @@ func (bc *blockCache) lookup(prog *isa.Program, gen uint64) *progBlocks {
 		bc.progs = make(map[*isa.Program]*progBlocks, 4)
 	}
 	pb := &progBlocks{blocks: make([]*bbBlock, len(prog.Code)), gen: gen}
-	if len(prog.HotHints) > 0 {
-		pb.seeded = make([]bool, len(prog.Code))
-		for _, pc := range prog.HotHints {
-			if pc >= 0 && pc < len(prog.Code) {
-				pb.seeded[pc] = true
-			}
-		}
-	}
 	bc.progs[prog] = pb
 	return pb
 }
@@ -238,17 +214,6 @@ func buildBlock(code []isa.Inst, pc int, tags *microcode.TagTable) *bbBlock {
 	return blk
 }
 
-// installTrace stores a freshly built trace, allocating the per-program
-// trace table on first use.
-//
-//cryptojack:coldpath
-func (pb *progBlocks) installTrace(pc int, tr *trace) {
-	if pb.traces == nil {
-		pb.traces = make([]*trace, len(pb.blocks))
-	}
-	pb.traces[pc] = tr
-}
-
 // runFastBlocks is the block-cached fast engine. Architectural results are
 // bit-identical to the plain per-instruction loop (runFastStep); only the
 // bookkeeping schedule differs. The tag table is sampled once per Run call,
@@ -270,17 +235,9 @@ func (c *Core) runFastBlocks(maxInsts uint64) uint64 {
 		// Firmware swap: re-tag this program's pre-counts in place. Other
 		// cached programs are re-tagged when they next run.
 		c.bb.stats.Invalidations++
-		pb.retag(code, tags)
+		pb.retag(tags)
 	}
 	blocks := pb.blocks
-	traceOK := !c.cfg.NoTraceCache
-	// At most one trace build per Run call: when a loop first gets hot,
-	// every block on it crosses the heat threshold in the same iteration,
-	// and the first trace built usually swallows the rest of the path —
-	// building them all would pay construction cost hundreds of times for
-	// one winner. Gating also bounds the build latency a single scheduler
-	// quantum can absorb. Blocks left hot retry on later Run calls.
-	built := false
 
 	var n, rsx uint64
 	for n < maxInsts {
@@ -288,23 +245,6 @@ func (c *Core) runFastBlocks(maxInsts uint64) uint64 {
 		if uint(pc) >= uint(len(code)) {
 			c.fault(ErrPCOutOfRange)
 			break
-		}
-		if traceOK && pb.traces != nil {
-			if tr := pb.traces[pc]; tr != nil && maxInsts-n >= tr.guestLen {
-				tn, trsx := c.runTrace(tr, maxInsts-n, tags, characterizing)
-				n += tn
-				rsx += trsx
-				// Deoptimize traces whose taken-path assumption has decayed:
-				// they burn rollback+replay on most entries.
-				if tr.sideExits*8 > tr.passes+64 {
-					pb.traces[pc] = nil
-					c.trStats.Deopts++
-				}
-				if ctx.Halted {
-					break
-				}
-				continue
-			}
 		}
 		blk := blocks[pc]
 		if blk == nil {
@@ -316,29 +256,6 @@ func (c *Core) runFastBlocks(maxInsts uint64) uint64 {
 			blocks[pc] = blk
 		} else {
 			c.bb.stats.Hits++
-			if traceOK && blk.heat != traceHeatBlacklist {
-				// Statically-hinted loop heads (gsa.Annotate) use the lowered
-				// seeded threshold: the profile evidence is already in hand.
-				hot := uint16(traceHotThreshold)
-				if pb.seeded != nil && pb.seeded[pc] {
-					hot = traceSeededHotThreshold
-				}
-				if blk.heat < hot {
-					blk.heat++
-				}
-				if blk.heat >= hot && !built {
-					built = true
-					blk.heat = traceHeatBlacklist
-					c.trStats.Misses++
-					if hot == traceSeededHotThreshold {
-						c.trStats.Seeded++
-					}
-					if tr := c.buildTrace(pc, tags); tr != nil {
-						pb.installTrace(pc, tr)
-						continue // dispatch through the new trace
-					}
-				}
-			}
 		}
 		retired, ok := c.execBlock(blk, maxInsts-n)
 		n += retired

@@ -14,21 +14,17 @@ import (
 // every counter the defense reads, the core TLB counters, and the whole
 // task region of memory plus the number of pages mapped.
 type bbOutcome struct {
-	regs    [isa.NumRegs]uint64
-	flags   Flags
-	pc      int
-	halted  bool
-	fault   string
-	retired uint64
-	rsx     uint64
-	cycles  uint64
-	hist    [isa.NumOps]uint64
-	mem     []byte
-	pages   int
-	// traced marks a run with the trace tier on. That tier translates
-	// through a private TLB of its own, so the core TLB counters below
-	// are compared only when neither run is traced.
-	traced    bool
+	regs      [isa.NumRegs]uint64
+	flags     Flags
+	pc        int
+	halted    bool
+	fault     string
+	retired   uint64
+	rsx       uint64
+	cycles    uint64
+	hist      [isa.NumOps]uint64
+	mem       []byte
+	pages     int
 	tlbHits   uint64
 	tlbMisses uint64
 }
@@ -38,13 +34,8 @@ type engine int
 
 const (
 	engStep   engine = iota // per-instruction reference loop (NoBlockCache)
-	engBlocks               // block cache with the trace tier off
-	engFull                 // block cache plus superblock traces (the default)
+	engBlocks               // block cache (the default)
 )
-
-func (e engine) String() string {
-	return [...]string{"step", "blocks", "full"}[e]
-}
 
 // bbBase is where runBB loads programs.
 const bbBase = 0x100_0000
@@ -60,7 +51,6 @@ func runBB(t *testing.T, prog *isa.Program, eng engine, slice, budget uint64,
 	cfg.Cores = 1
 	cfg.Characterize = true
 	cfg.NoBlockCache = eng == engStep
-	cfg.NoTraceCache = eng != engFull
 	machine, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +88,6 @@ func runBB(t *testing.T, prog *isa.Program, eng engine, slice, budget uint64,
 		hist:    bank.Histogram(),
 		mem:     machine.Memory().ReadBytes(bbBase, int(RegionSize(prog))),
 		pages:   machine.Memory().Pages(),
-		traced:  eng == engFull,
 	}
 	out.tlbHits, out.tlbMisses = core.TLBStats()
 	if ctx.Fault != nil {
@@ -144,26 +133,24 @@ func requireSameOutcome(t *testing.T, label string, a, b bbOutcome) {
 	if a.pages != b.pages {
 		t.Fatalf("%s: %d vs %d pages mapped", label, a.pages, b.pages)
 	}
-	if !a.traced && !b.traced && (a.tlbHits != b.tlbHits || a.tlbMisses != b.tlbMisses) {
+	if a.tlbHits != b.tlbHits || a.tlbMisses != b.tlbMisses {
 		t.Fatalf("%s: TLB hits/misses %d/%d vs %d/%d", label, a.tlbHits, a.tlbMisses, b.tlbHits, b.tlbMisses)
 	}
 }
 
 // TestDifferentialBlockCacheVsStep is the block-cache equivalence property
-// test: over the fuzz corpus, the cached engine, with and without traces,
-// must be bit-identical to the per-instruction reference loop — registers,
-// flags, memory and all counter values — both for whole-program runs and
-// for tiny slices that split blocks at arbitrary points.
+// test: over the fuzz corpus, the cached engine must be bit-identical to
+// the per-instruction reference loop — registers, flags, memory and all
+// counter values — both for whole-program runs and for tiny slices that
+// split blocks at arbitrary points.
 func TestDifferentialBlockCacheVsStep(t *testing.T) {
 	rng := rand.New(rand.NewSource(771))
 	for trial := 0; trial < 40; trial++ {
 		prog := randomProgram(rng)
 		for _, slice := range []uint64{1 << 30, 7} {
 			plain := runBB(t, prog, engStep, slice, 0, nil)
-			for _, eng := range []engine{engBlocks, engFull} {
-				cached := runBB(t, prog, eng, slice, 0, nil)
-				requireSameOutcome(t, fmt.Sprintf("%s/%v/slice=%d", prog.Name, eng, slice), cached, plain)
-			}
+			cached := runBB(t, prog, engBlocks, slice, 0, nil)
+			requireSameOutcome(t, fmt.Sprintf("%s/slice=%d", prog.Name, slice), cached, plain)
 		}
 	}
 }
@@ -193,13 +180,11 @@ func TestBlockCacheFaultIdentity(t *testing.T) {
 	}()
 	for _, prog := range []*isa.Program{divFault, retWild} {
 		plain := runBB(t, prog, engStep, 1<<30, 0, nil)
-		for _, eng := range []engine{engBlocks, engFull} {
-			cached := runBB(t, prog, eng, 1<<30, 0, nil)
-			if cached.fault == "" {
-				t.Fatalf("%s/%v: expected a fault", prog.Name, eng)
-			}
-			requireSameOutcome(t, prog.Name+"/"+eng.String(), cached, plain)
+		cached := runBB(t, prog, engBlocks, 1<<30, 0, nil)
+		if cached.fault == "" {
+			t.Fatalf("%s: expected a fault", prog.Name)
 		}
+		requireSameOutcome(t, prog.Name, cached, plain)
 	}
 }
 
@@ -221,10 +206,8 @@ func TestBlockCacheTagSwapInvalidation(t *testing.T) {
 			m.InstallTagTable(tables[(total/13)%uint64(len(tables))])
 		}
 		plain := runBB(t, prog, engStep, 13, 0, swap)
-		for _, eng := range []engine{engBlocks, engFull} {
-			cached := runBB(t, prog, eng, 13, 0, swap)
-			requireSameOutcome(t, prog.Name+"/"+eng.String(), cached, plain)
-		}
+		cached := runBB(t, prog, engBlocks, 13, 0, swap)
+		requireSameOutcome(t, prog.Name, cached, plain)
 	}
 
 	// And the invalidation itself must be observable: one swap, one
@@ -341,12 +324,10 @@ func TestBlockCacheBranchIntoBlockMiddle(t *testing.T) {
 	prog := b.MustBuild()
 
 	plain := runBB(t, prog, engStep, 1<<30, 0, nil)
-	for _, eng := range []engine{engBlocks, engFull} {
-		cached := runBB(t, prog, eng, 1<<30, 0, nil)
-		requireSameOutcome(t, prog.Name+"/"+eng.String(), cached, plain)
-		if cached.regs[1] != 1 || cached.regs[2] != 50 {
-			t.Fatalf("%v: unexpected results r1=%d r2=%d", eng, cached.regs[1], cached.regs[2])
-		}
+	cached := runBB(t, prog, engBlocks, 1<<30, 0, nil)
+	requireSameOutcome(t, prog.Name, cached, plain)
+	if cached.regs[1] != 1 || cached.regs[2] != 50 {
+		t.Fatalf("unexpected results r1=%d r2=%d", cached.regs[1], cached.regs[2])
 	}
 }
 
@@ -616,8 +597,8 @@ func directedProgram() *isa.Program {
 	return prog
 }
 
-// TestBlockEngineDirected runs directedProgram under the blocks-only and
-// the step engine at every slice size from 1 to maxBlockLen, so every
+// TestBlockEngineDirected runs directedProgram under the block and the
+// step engine at every slice size from 1 to maxBlockLen, so every
 // partial-retire point of every block is a Run boundary at least once and
 // must write back exact flags, PC and TLB counts.
 func TestBlockEngineDirected(t *testing.T) {
@@ -707,7 +688,7 @@ func TestPackedBranchAllFlagStates(t *testing.T) {
 }
 
 // RequireBlocksMatchStep runs prog for budget instructions, in slices of
-// the given size, under the blocks-only and the step engine, and fails t
+// the given size, under the block and the step engine, and fails t
 // unless the outcomes are identical; it returns the instructions retired.
 // It is exported for bbcache_miner_test.go, which builds the ISA miners
 // through package workload (an importer of this package) and so is an

@@ -54,11 +54,6 @@ type Config struct {
 	// (cache enabled) is the production configuration; the knob exists for
 	// differential testing and A/B benchmarks.
 	NoBlockCache bool
-	// NoTraceCache disables the superblock trace layer (trace.go) while
-	// keeping the basic-block cache, so hot loops stay on the per-block
-	// engine. Same audience as NoBlockCache: differential tests and A/B
-	// benchmarks isolating the trace layer's contribution.
-	NoTraceCache bool
 	// SharedBlocks, when non-nil, lets this machine's cores share decoded
 	// basic blocks with every other machine wired to the same cache
 	// (sharedbb.go). Fleets pass one process-wide cache so a program image

@@ -52,8 +52,8 @@ type memTLB struct {
 // Core is one hardware context of the simulated processor.
 //
 // Classification (statecheck): architectural and timing state is the
-// snapshot surface; the translation/trace caches are rebuildable
-// (derived); the retirement observer is a host-side hook.
+// snapshot surface; the translation caches are rebuildable (derived); the
+// retirement observer is a host-side hook.
 //
 //cryptojack:state
 type Core struct {
@@ -79,11 +79,6 @@ type Core struct {
 	bb     blockCache    // cryptojack:derived
 	shared *SharedBlocks // cryptojack:derived -- fleet-scope decode cache, rebuildable
 
-	// eng is the superblock trace executor's state and trStats its
-	// counters (fast mode only; see trace.go).
-	eng     *traceEngine // cryptojack:derived
-	trStats TraceStats   // cryptojack:derived
-
 	// Detailed-mode timing state (see timing.go).
 	tm timing
 }
@@ -97,6 +92,15 @@ func (c *Core) Counters() *counters.Bank { return c.bank }
 // PipelineStats returns the detailed-engine observability counters (zero
 // in fast mode).
 func (c *Core) PipelineStats() PipelineStats { return c.tm.stats }
+
+// TraceStats is the counter set of a superblock trace tier this package
+// no longer has. It exists only so the frozen perfbench module, which
+// still reads it, keeps compiling.
+type TraceStats struct{ Hits, Misses, SideExits, LenSum uint64 }
+
+// TraceCacheStats always returns the zero TraceStats. It exists only for
+// perfbench (see TraceStats).
+func (c *Core) TraceCacheStats() TraceStats { return TraceStats{} }
 
 // TLBStats returns the cumulative page-translation cache hit/miss counts.
 // The counters are written by the core's own execution goroutine; callers
@@ -245,23 +249,9 @@ func (c *Core) runFast(maxInsts uint64) uint64 {
 //
 //cryptojack:hotpath
 func (c *Core) runFastStep(maxInsts uint64) uint64 {
-	n, rsx := c.runFastStepTagged(maxInsts, c.tagTable())
-	c.bank.AddRSX(rsx)
-	c.bank.AddRetired(n)
-	c.bank.AddCycles(n) // nominal IPC=1 in fast mode
-	return n
-}
-
-// runFastStepTagged is the step loop under a caller-sampled tag table, with
-// the final counter-bank adds left to the caller. The trace engine replays
-// side-exit prefixes through it against the exact tag table its pass ran
-// under, so a concurrent firmware swap cannot split one Run call's
-// semantics.
-//
-//cryptojack:hotpath
-func (c *Core) runFastStepTagged(maxInsts uint64, tags *microcode.TagTable) (retired, rsxN uint64) {
 	ctx := c.ctx
 	code := ctx.Prog.Code
+	tags := c.tagTable()
 	characterizing := c.bank.Characterizing()
 	observer := c.observer
 	var n, rsx uint64
@@ -294,7 +284,10 @@ func (c *Core) runFastStepTagged(maxInsts uint64, tags *microcode.TagTable) (ret
 			break
 		}
 	}
-	return n, rsx
+	c.bank.AddRSX(rsx)
+	c.bank.AddRetired(n)
+	c.bank.AddCycles(n) // nominal IPC=1 in fast mode
+	return n
 }
 
 // fault halts the context with err recorded (the acknowledged slow exit

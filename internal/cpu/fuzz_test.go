@@ -1,9 +1,12 @@
 package cpu
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"darkarts/internal/isa"
+	"darkarts/internal/microcode"
 )
 
 // decodeFuzzProgram turns an arbitrary byte string into a structurally
@@ -87,5 +90,100 @@ func FuzzExecutorNeverPanics(f *testing.F) {
 			// halted or exhausted the same budget deterministically).
 			t.Fatalf("retired divergence: fast=%d detailed=%d", fr, dr)
 		}
+	})
+}
+
+// hotLoopProgram generates a guaranteed-halting program around one hot
+// loop of a few hundred iterations. The body mixes ALU, rotate, load and
+// store instructions with data-dependent conditional skips, so the block
+// engine sees blocks entered both at their head and after a skip, and
+// both directions of each skip branch.
+func hotLoopProgram(rng *rand.Rand) *isa.Program {
+	b := isa.NewBuilder("hotloop")
+	bodyLen := 24 + rng.Intn(80)
+	iters := int64(192 + rng.Intn(300))
+
+	for r := isa.R0; r <= isa.R11; r++ {
+		b.Movi(r, rng.Int63())
+	}
+	b.Movi(isa.R12, iters)
+	b.Label("loop")
+
+	reg := func() isa.Reg { return isa.Reg(rng.Intn(12)) }
+	skips := 0
+	for i := 0; i < bodyLen; i++ {
+		switch rng.Intn(14) {
+		case 0:
+			b.Op3(isa.ADD, reg(), reg(), reg())
+		case 1:
+			b.Op3(isa.SUB, reg(), reg(), reg())
+		case 2:
+			b.Op3(isa.XOR, reg(), reg(), reg())
+		case 3:
+			b.Op3(isa.AND, reg(), reg(), reg())
+		case 4:
+			b.OpI(isa.ROLI, reg(), reg(), int64(rng.Intn(64)))
+		case 5:
+			b.OpI(isa.RORI, reg(), reg(), int64(rng.Intn(64)))
+		case 6:
+			b.OpI(isa.SHLI, reg(), reg(), int64(rng.Intn(64)))
+		case 7:
+			b.Op3(isa.MUL, reg(), reg(), reg())
+		case 8:
+			b.St(isa.R28, int64(rng.Intn(512))&^7, reg())
+		case 9:
+			b.Ld(reg(), isa.R28, int64(rng.Intn(512))&^7)
+		case 10:
+			b.OpI(isa.ROL32I, reg(), reg(), int64(rng.Intn(32)))
+		case 11:
+			// Data-dependent conditional skip over one instruction.
+			lbl := fmt.Sprintf("skip%d", skips)
+			skips++
+			b.OpI(isa.ANDI, isa.R13, isa.R12, int64(1+rng.Intn(7)))
+			b.Cmpi(isa.R13, 0)
+			b.Jcc(isa.JE, lbl)
+			b.OpI(isa.ADDI, reg(), reg(), int64(rng.Intn(1<<12)))
+			b.Label(lbl)
+			i += 3
+		default:
+			b.OpI(isa.ADDI, reg(), reg(), int64(rng.Intn(1<<20)))
+		}
+	}
+	b.OpI(isa.SUBI, isa.R12, isa.R12, 1)
+	b.Cmpi(isa.R12, 0)
+	b.Jcc(isa.JNE, "loop")
+	b.Halt()
+
+	p := b.MustBuild()
+	p.DataSize = 1024
+	return p
+}
+
+// FuzzBlocksDifferential drives the block engine against the step engine
+// over generated hot-loop programs, randomized slice sizes, and mid-run
+// tag-table swaps, all derived from the fuzz input. Every observable the
+// block-cache tests compare must match: registers, flags, PC, fault state,
+// memory, TLB and every counter.
+func FuzzBlocksDifferential(f *testing.F) {
+	f.Add(int64(1), uint64(1<<30), false)
+	f.Add(int64(99), uint64(257), true)
+	f.Add(int64(-7), uint64(13), true)
+	tables := []*microcode.TagTable{
+		microcode.RSX(), microcode.RSXO(), microcode.RotateOnly(),
+	}
+	f.Fuzz(func(t *testing.T, seed int64, slice uint64, swapTags bool) {
+		if slice == 0 {
+			slice = 1
+		}
+		prog := hotLoopProgram(rand.New(rand.NewSource(seed)))
+		var step func(*CPU, uint64)
+		if swapTags {
+			step = func(m *CPU, total uint64) {
+				m.InstallTagTable(tables[(total/311)%uint64(len(tables))])
+			}
+		}
+		plain := runBB(t, prog, engStep, slice, 0, step)
+		cached := runBB(t, prog, engBlocks, slice, 0, step)
+		requireSameOutcome(t, prog.Name, cached, plain)
 	})
 }

@@ -20,9 +20,8 @@ import (
 // Sharing never changes architectural results — a shared block is
 // bit-identical to the block the core would have decoded itself — and it
 // never races: published blocks are immutable, and a core that adopts one
-// copies the struct so its private trace-heat counter (bbBlock.heat) stays
-// core-local. Superblock traces are NOT shared: traces carry run-time
-// profile state (pass/side-exit counters) and are rebuilt per core.
+// copies the struct, because a firmware swap re-tags the core's cached
+// blocks in place (progBlocks.retag).
 //
 // The cache appears on the hot path only on a local block-cache miss, which
 // is a cold event (steady-state hit rates are >99.9%), so the RWMutex it
@@ -132,9 +131,8 @@ func (s *SharedBlocks) table(prog *isa.Program, gen uint64, create bool) *shared
 }
 
 // get returns a private copy of the published block at pc (nil if none).
-// The copy shares the immutable ops/hist slices but owns its heat counter,
-// so the caller may mutate trace-promotion state without racing other
-// cores.
+// The copy shares the immutable ops/hist slices but owns its RSX pre-counts,
+// so the caller may re-tag it without racing other cores.
 //
 //cryptojack:coldpath
 func (s *SharedBlocks) get(prog *isa.Program, gen uint64, pc int) *bbBlock {
@@ -158,14 +156,12 @@ func (s *SharedBlocks) get(prog *isa.Program, gen uint64, pc int) *bbBlock {
 	}
 	s.hits.Add(1)
 	cp := *blk
-	cp.heat = 0
 	return &cp
 }
 
-// put publishes a freshly decoded block so other cores can adopt it. The
-// published copy's heat is zeroed — heat is per-core profile state, never
-// shared. Concurrent publishers of the same pc decode identical blocks, so
-// last-writer-wins is harmless.
+// put publishes a copy of a freshly decoded block so other cores can adopt
+// it; the publisher keeps re-tagging its own. Concurrent publishers of the
+// same pc decode identical blocks, so last-writer-wins is harmless.
 //
 //cryptojack:coldpath
 func (s *SharedBlocks) put(prog *isa.Program, gen uint64, pc int, blk *bbBlock) {
@@ -174,7 +170,6 @@ func (s *SharedBlocks) put(prog *isa.Program, gen uint64, pc int, blk *bbBlock) 
 	}
 	sp := s.table(prog, gen, true)
 	cp := *blk
-	cp.heat = 0
 	sp.mu.Lock()
 	if pc < len(sp.blocks) {
 		sp.blocks[pc] = &cp

@@ -105,8 +105,9 @@ func TestSharedBlocksGenerationIsolation(t *testing.T) {
 	}
 }
 
-// TestSharedBlocksCopies: adopted blocks are private copies — mutating the
-// consumer's heat counter must not leak into the published entry.
+// TestSharedBlocksCopies: published and adopted blocks are private copies —
+// re-tagging the publisher's or a consumer's block (retag rewrites the RSX
+// pre-counts in place) must not leak into the published entry.
 func TestSharedBlocksCopies(t *testing.T) {
 	b := isa.NewBuilder("copy")
 	b.Movi(isa.R1, 1)
@@ -114,8 +115,9 @@ func TestSharedBlocksCopies(t *testing.T) {
 	prog := b.MustBuild()
 
 	shared := NewSharedBlocks()
-	orig := &bbBlock{pc: 0, heat: 99}
+	orig := &bbBlock{pc: 0, rsx: 1, tagMask: 1}
 	shared.put(prog, 1, 0, orig)
+	orig.rsx, orig.tagMask = 0, 0
 	got := shared.get(prog, 1, 0)
 	if got == nil {
 		t.Fatal("miss")
@@ -123,12 +125,12 @@ func TestSharedBlocksCopies(t *testing.T) {
 	if got == orig {
 		t.Fatal("get returned the published pointer, not a copy")
 	}
-	if got.heat != 0 {
-		t.Fatalf("adopted heat = %d, want 0 (fresh per-core profile)", got.heat)
+	if got.rsx != 1 || got.tagMask != 1 {
+		t.Fatalf("adopted pre-counts = %d/%#x, want 1/0x1 (publisher mutation leaked)", got.rsx, got.tagMask)
 	}
-	got.heat = 1000
-	if again := shared.get(prog, 1, 0); again.heat != 0 {
-		t.Fatal("consumer heat mutation leaked into the shared entry")
+	got.rsx = 1000
+	if again := shared.get(prog, 1, 0); again.rsx != 1 {
+		t.Fatal("consumer pre-count mutation leaked into the shared entry")
 	}
 }
 

@@ -2,9 +2,11 @@ package fleet
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
@@ -139,12 +141,18 @@ func TestAPISubmitAndAlerts(t *testing.T) {
 	}
 }
 
-func TestAPIErrors(t *testing.T) {
-	f, srv := testServer(t, 2)
-	cases := []struct {
-		method, path, body string
-		status             int
-	}{
+// apiErrorCase is one request the API must refuse with status and an
+// apiError body.
+type apiErrorCase struct {
+	method, path, body string
+	status             int
+}
+
+// apiErrorCases are the refused requests TestAPIErrors pins; their submit
+// bodies also seed FuzzAPI. freqHz is the fleet machines' clock rate, the
+// cap on a program's ips.
+func apiErrorCases(freqHz uint64) []apiErrorCase {
+	return []apiErrorCase{
 		{http.MethodPost, "/api/v1/workloads", `{"tenant":"t","kind":"nope"}`, http.StatusBadRequest},
 		{http.MethodPost, "/api/v1/workloads", `not json`, http.StatusBadRequest},
 		{http.MethodPost, "/api/v1/workloads", `{"kind":"app","app":"Slack"}`, http.StatusBadRequest}, // no tenant
@@ -153,7 +161,14 @@ func TestAPIErrors(t *testing.T) {
 		{http.MethodGet, "/api/v1/alerts?since=abc", "", http.StatusBadRequest},
 		{http.MethodGet, "/api/v1/alerts?limit=x", "", http.StatusBadRequest},
 		{http.MethodPost, "/api/v1/workloads", `{"tenant":"` + strings.Repeat("t", maxSubmitBytes) + `"}`, http.StatusRequestEntityTooLarge},
+		{http.MethodPost, "/api/v1/workloads", fmt.Sprintf(`{"tenant":"t","kind":"miner","threads":%d}`, maxMinerThreads+1), http.StatusBadRequest},
+		{http.MethodPost, "/api/v1/workloads", fmt.Sprintf(`{"tenant":"t","kind":"program","program":"sha256","ips":%d}`, freqHz+1), http.StatusBadRequest},
 	}
+}
+
+func TestAPIErrors(t *testing.T) {
+	f, srv := testServer(t, 2)
+	cases := apiErrorCases(f.cfg.Machine.CPU.FreqHz)
 	for _, c := range cases {
 		req, _ := http.NewRequest(c.method, srv.URL+c.path, strings.NewReader(c.body))
 		resp, err := http.DefaultClient.Do(req)
@@ -172,6 +187,66 @@ func TestAPIErrors(t *testing.T) {
 	}
 	if n, _ := f.Obs().Value("fleet_api_errors_total", ""); n != float64(len(cases)) {
 		t.Errorf("fleet_api_errors_total = %v, want %d", n, len(cases))
+	}
+}
+
+// FuzzAPI drives the fleet API with arbitrary submit bodies and alert-query
+// parameters. Whatever the input, no handler may panic or answer 5xx, and
+// every 4xx must carry a non-empty apiError body. Each submission goes to
+// a fresh two-machine fleet, so accepted workloads do not pile up across
+// inputs; queries go to one fleet whose retained stream holds alerts and
+// has trimmed older ones, so cursors land before, inside and past it.
+func FuzzAPI(f *testing.F) {
+	for _, c := range apiErrorCases(testConfig(2).Machine.CPU.FreqHz) {
+		if c.path == "/api/v1/workloads" && c.method == http.MethodPost {
+			f.Add(c.body, "0", "10", "mallory")
+		}
+	}
+	f.Add(`{"tenant":"t","kind":"miner","threads":3,"throttle":0.5}`, "1", "1", "t")
+	f.Add(`{"tenant":"t","kind":"program","program":"xmr-isa","ips":1000000}`, "", "", "")
+	f.Add(`{"tenant":"t","kind":"miner","machine":-1,"pin":true}`, "18446744073709551615", "-1", "")
+	f.Add(`{}`, "9223372036854775808", "x", "acme")
+
+	cfg := testConfig(2)
+	cfg.AlertRetention = 2
+	stream, err := New(cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := stream.Submit(WorkloadSpec{Tenant: "mallory", Kind: KindMiner, Machine: 1, Pin: true}); err != nil {
+		f.Fatal(err)
+	}
+	stream.Run(10 * time.Second)
+	if len(stream.AlertStream()) == 0 {
+		f.Fatal("query fleet raised no alerts")
+	}
+	queries := stream.Handler()
+
+	f.Fuzz(func(t *testing.T, body, since, limit, tenant string) {
+		sub, err := New(testConfig(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireAPIAnswer(t, sub.Handler(), httptest.NewRequest(http.MethodPost, "/api/v1/workloads", strings.NewReader(body)))
+		q := url.Values{"since": {since}, "limit": {limit}, "tenant": {tenant}}
+		requireAPIAnswer(t, queries, httptest.NewRequest(http.MethodGet, "/api/v1/alerts?"+q.Encode(), nil))
+	})
+}
+
+// requireAPIAnswer serves req and fails t on a 5xx or on a 4xx whose body
+// is not a non-empty apiError.
+func requireAPIAnswer(t *testing.T, h http.Handler, req *http.Request) {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if rec.Code >= 500 {
+		t.Fatalf("%s %s: status %d: %s", req.Method, req.URL, rec.Code, rec.Body)
+	}
+	if rec.Code >= 400 {
+		var body apiError
+		if err := json.NewDecoder(rec.Body).Decode(&body); err != nil || body.Error == "" {
+			t.Fatalf("%s %s: status %d with error body %+v, %v", req.Method, req.URL, rec.Code, body, err)
+		}
 	}
 }
 

@@ -208,9 +208,8 @@ type Fleet struct {
 
 	catalogOnce sync.Once
 	catalog     map[string]*isa.Program // immutable after catalogOnce
-	// catProfiles holds each catalog program's static-analysis profile,
-	// computed (and the image annotated with trace-seeding hints) before
-	// any machine loads it. Immutable after catalogOnce.
+	// catProfiles holds each catalog program's static-analysis profile.
+	// Immutable after catalogOnce.
 	catProfiles map[string]gsa.StaticProfile
 
 	workerWG sync.WaitGroup

@@ -40,7 +40,8 @@ type WorkloadSpec struct {
 	Coin string `json:"coin,omitempty"`
 	// Throttle is the miner's duty-cycle reduction in [0,1) (kind "miner").
 	Throttle float64 `json:"throttle,omitempty"`
-	// Threads is the miner's thread count (kind "miner", default 4).
+	// Threads is the miner's thread count (kind "miner", default 4, at
+	// most maxMinerThreads).
 	Threads int `json:"threads,omitempty"`
 
 	// Program is a fleet catalog entry (kind "program"): "sha256",
@@ -49,8 +50,14 @@ type WorkloadSpec struct {
 	Program string `json:"program,omitempty"`
 	// IPS is the program's effective instruction rate (kind "program",
 	// default 200000 — cheap to simulate, enough to exercise the decoder).
+	// It may not exceed the machine's clock rate, Machine.CPU.FreqHz.
 	IPS uint64 `json:"ips,omitempty"`
 }
+
+// maxMinerThreads bounds WorkloadSpec.Threads: each thread is a simulated
+// task on the member machine, so an unbounded count from the API would
+// let one submission spawn arbitrarily many.
+const maxMinerThreads = 256
 
 // Placement reports where a submission landed.
 type Placement struct {
@@ -92,11 +99,9 @@ func (f *Fleet) Catalog() []string {
 	return names
 }
 
-// ensureCatalog builds the shared program images once; concurrent callers
-// (API handlers, Submit) synchronize on the Once and the map is immutable
-// afterwards. Every image is statically analyzed (and annotated with
-// trace-seeding hot-loop hints) here, before any machine can load it — the
-// write-once window the annotation contract requires.
+// ensureCatalog builds the shared program images once and statically
+// analyzes each; concurrent callers (API handlers, Submit) synchronize on
+// the Once and the maps are immutable afterwards.
 func (f *Fleet) ensureCatalog() {
 	f.catalogOnce.Do(func() {
 		sha, _ := cryptoalg.BuildSHA256Program(4)
@@ -118,7 +123,7 @@ func (f *Fleet) ensureCatalog() {
 		sort.Strings(names)
 		f.catProfiles = make(map[string]gsa.StaticProfile, len(f.catalog))
 		for _, n := range names {
-			f.catProfiles[n] = gsa.Annotate(f.catalog[n])
+			f.catProfiles[n] = gsa.Analyze(f.catalog[n])
 		}
 	})
 }
@@ -209,10 +214,19 @@ func (f *Fleet) validate(spec WorkloadSpec) error {
 		if spec.Throttle < 0 || spec.Throttle >= 1 {
 			return fmt.Errorf("fleet: miner throttle %v outside [0,1)", spec.Throttle)
 		}
+		if spec.Threads > maxMinerThreads {
+			return fmt.Errorf("fleet: miner threads %d above %d", spec.Threads, maxMinerThreads)
+		}
 	case KindProgram:
 		f.ensureCatalog()
 		if _, ok := f.catalog[spec.Program]; !ok {
 			return fmt.Errorf("fleet: unknown catalog program %q (have %v)", spec.Program, f.Catalog())
+		}
+		// IPS sets how many instructions each slice runs. Above the clock a
+		// slice asks for more than the core can retire in it; at 1e18 the
+		// round never ends.
+		if freq := f.cfg.Machine.CPU.FreqHz; spec.IPS > freq {
+			return fmt.Errorf("fleet: program ips %d above the %d Hz clock", spec.IPS, freq)
 		}
 	default:
 		return fmt.Errorf("fleet: unknown workload kind %q", spec.Kind)

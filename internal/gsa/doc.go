@@ -25,9 +25,7 @@
 // Analyze condenses all of it into a StaticProfile whose RiskScore ranks
 // miners above benign workloads — including benign *crypto* (the sha2/
 // sha3/aes/blake2b kernels), which share the miners' RSX density but not
-// their PoW loop shape. Annotate additionally stamps the program's
-// HotHints with its loop-head pcs so the trace engine can seed trace
-// formation (internal/cpu). Fleet admission (internal/fleet) and the
+// their PoW loop shape. Fleet admission (internal/fleet) and the
 // kernel's detection-window prior (internal/kernel) consume the RiskScore;
 // cmd/guestlint is the command-line face.
 package gsa

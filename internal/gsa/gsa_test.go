@@ -225,35 +225,13 @@ func TestIdiomCounts(t *testing.T) {
 	}
 }
 
-func TestAnnotateStampsHotHints(t *testing.T) {
-	p := nestedLoops(t)
-	prof := gsa.Annotate(p)
-	if len(p.HotHints) != 2 {
-		t.Fatalf("HotHints = %v, want both loop heads", p.HotHints)
-	}
-	if !sort.IntsAreSorted(p.HotHints) {
-		t.Errorf("HotHints not sorted: %v", p.HotHints)
-	}
-	for i, pc := range prof.HintPCs {
-		if p.HotHints[i] != pc {
-			t.Errorf("HotHints %v != profile HintPCs %v", p.HotHints, prof.HintPCs)
-			break
-		}
-	}
-	// Idempotent.
-	again := gsa.Annotate(p)
-	if again.RiskScore != prof.RiskScore || len(p.HotHints) != 2 {
-		t.Errorf("Annotate not idempotent: %+v vs %+v", again, prof)
-	}
-}
-
 func TestLoopFreeProgram(t *testing.T) {
 	b := isa.NewBuilder("straight")
 	b.Op3(isa.XOR, isa.R0, isa.R0, isa.R1)
 	b.OpI(isa.ROLI, isa.R0, isa.R0, 7)
 	b.Halt()
 	prof := gsa.Analyze(b.MustBuild())
-	if prof.Loops != 0 || len(prof.HintPCs) != 0 {
+	if prof.Loops != 0 || len(prof.HotLoops) != 0 {
 		t.Fatalf("straight-line program reported loops: %+v", prof)
 	}
 	// Falls back to whole-image density; never flagged.

@@ -39,7 +39,7 @@ const (
 	RiskFlagThreshold = 1.0
 
 	// maxHotLoops caps the loops listed in a StaticProfile (placements
-	// travel over the fleet API); HintPCs always covers every loop head.
+	// travel over the fleet API).
 	maxHotLoops = 16
 )
 
@@ -62,12 +62,12 @@ type HotLoop struct {
 
 // StaticProfile is the whole-program result of Analyze.
 type StaticProfile struct {
-	Name         string  `json:"name"`
-	Insts        int     `json:"insts"`
-	Funcs        int     `json:"funcs"`
-	Blocks       int     `json:"blocks"`
-	Loops        int     `json:"loops"`
-	MaxLoopDepth int     `json:"max_loop_depth"`
+	Name         string `json:"name"`
+	Insts        int    `json:"insts"`
+	Funcs        int    `json:"funcs"`
+	Blocks       int    `json:"blocks"`
+	Loops        int    `json:"loops"`
+	MaxLoopDepth int    `json:"max_loop_depth"`
 	// RSXDensity is the static RSX fraction over the whole code image;
 	// LoopRSXDensity is the callee-weighted density of the top-scoring
 	// loop — the density the program can sustain while looping.
@@ -78,9 +78,6 @@ type StaticProfile struct {
 	// loop-free programs, which cannot sustain mining at all).
 	RiskScore float64   `json:"risk_score"`
 	HotLoops  []HotLoop `json:"hot_loops,omitempty"`
-	// HintPCs lists every loop-head pc, ascending — the trace-seeding
-	// hints Annotate stamps into Program.HotHints.
-	HintPCs []int `json:"hint_pcs,omitempty"`
 }
 
 // Flagged reports whether the profile crosses the static flag boundary.
@@ -342,7 +339,6 @@ func analyzeProgram(p *isa.Program) ([]*Func, StaticProfile) {
 				Chains: l.Chains, SBoxLoads: l.SBoxLoads, RoundConsts: l.RoundConsts,
 				Score: l.Score,
 			})
-			prof.HintPCs = append(prof.HintPCs, l.HeadPC)
 		}
 	}
 
@@ -362,9 +358,6 @@ func analyzeProgram(p *isa.Program) ([]*Func, StaticProfile) {
 		hot = hot[:maxHotLoops]
 	}
 	prof.HotLoops = hot
-
-	sort.Ints(prof.HintPCs)
-	prof.HintPCs = dedupInts(prof.HintPCs)
 	return funcs, prof
 }
 
@@ -375,16 +368,6 @@ func blockStartOf(f *Func, pc int) int {
 		return -1
 	}
 	return f.Blocks[i-1].Start
-}
-
-func dedupInts(xs []int) []int {
-	out := xs[:0]
-	for i, x := range xs {
-		if i == 0 || x != xs[i-1] {
-			out = append(out, x)
-		}
-	}
-	return out
 }
 
 // Analyze runs the static pipeline over a program and returns its profile.
@@ -399,12 +382,6 @@ func AnalyzeFuncs(p *isa.Program) ([]*Func, StaticProfile) {
 	return analyzeProgram(p)
 }
 
-// Annotate analyzes a program and stamps its HotHints with the loop-head
-// pcs, seeding the trace engine (internal/cpu). Call it before the program
-// is loaded anywhere — hints are build-time metadata under the same
-// write-once discipline as the rest of the image. Idempotent.
-func Annotate(p *isa.Program) StaticProfile {
-	prof := Analyze(p)
-	p.HotHints = prof.HintPCs
-	return prof
-}
+// Annotate is Analyze. It exists only so the frozen perfbench module, which
+// still calls it, keeps compiling.
+func Annotate(p *isa.Program) StaticProfile { return Analyze(p) }

@@ -143,12 +143,6 @@ type Program struct {
 	DataSize int64
 	// Data holds initialised data to copy at the data base address.
 	Data []byte
-	// HotHints lists instruction indices static analysis predicts are hot
-	// loop heads (ascending, deduplicated). The trace engine seeds trace
-	// formation from them with a lowered heat threshold. Stamped by
-	// gsa.Annotate under the same write-once discipline as the code image:
-	// set before the program is loaded anywhere, never after.
-	HotHints []int
 }
 
 // Len returns the number of instructions.

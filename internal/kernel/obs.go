@@ -54,13 +54,6 @@ type kmetrics struct {
 	bbInvalidations []*obs.Counter
 	bbLen           *obs.Histogram
 
-	// Per-core superblock trace cache counters (fast engine trace layer).
-	trHits      []*obs.Counter
-	trBuilds    []*obs.Counter
-	trSideExits []*obs.Counter
-	trDeopts    []*obs.Counter
-	trLen       *obs.Histogram
-
 	retiredPerQuantum *obs.Histogram
 
 	// Context-switch RSX sampling (the paper's scheduler hook).
@@ -92,7 +85,6 @@ type kmetrics struct {
 	tlbHitsLast   []uint64
 	tlbMissesLast []uint64
 	bbLast        []cpu.BBStats
-	trLast        []cpu.TraceStats
 	// crossTimes holds the host time of each threshold crossing this
 	// quantum; latency is observed after alert callbacks are delivered.
 	crossTimes []time.Time
@@ -115,8 +107,6 @@ func newKMetrics(reg *obs.Registry, cores int) *kmetrics {
 			Unit: "ns", Help: "merge-phase host time hidden inside the next quantum's execute window"}),
 		bbLen: reg.Histogram(obs.Desc{Name: "bb_insts_per_block", Layer: obs.LayerCPU,
 			Unit: "instructions", Help: "instructions retired per basic-block dispatch (fast engine)"}, cpu.BBLenBounds),
-		trLen: reg.Histogram(obs.Desc{Name: "trace_insts_per_pass", Layer: obs.LayerCPU,
-			Unit: "instructions", Help: "guest instructions retired per completed superblock trace pass"}, cpu.TraceLenBounds),
 		retiredPerQuantum: reg.Histogram(obs.Desc{Name: "sched_retired_per_quantum", Layer: obs.LayerKernel,
 			Unit: "instructions", Help: "instructions retired per core per quantum"}, obsInstBuckets),
 		samples: reg.Counter(obs.Desc{Name: "rsx_samples_total", Layer: obs.LayerKernel,
@@ -151,7 +141,6 @@ func newKMetrics(reg *obs.Registry, cores int) *kmetrics {
 		tlbHitsLast:   make([]uint64, cores),
 		tlbMissesLast: make([]uint64, cores),
 		bbLast:        make([]cpu.BBStats, cores),
-		trLast:        make([]cpu.TraceStats, cores),
 	}
 	for i := 0; i < cores; i++ {
 		label := obs.CoreLabel(i)
@@ -179,18 +168,6 @@ func newKMetrics(reg *obs.Registry, cores int) *kmetrics {
 		m.bbInvalidations = append(m.bbInvalidations, reg.Counter(obs.Desc{
 			Name: "bb_invalidations_total", Label: label, Layer: obs.LayerCPU,
 			Unit: "invalidations", Help: "per-program basic-block cache retags after tag-table generation changes"}))
-		m.trHits = append(m.trHits, reg.Counter(obs.Desc{
-			Name: "trace_hits_total", Label: label, Layer: obs.LayerCPU,
-			Unit: "passes", Help: "superblock trace passes completed without a side exit"}))
-		m.trBuilds = append(m.trBuilds, reg.Counter(obs.Desc{
-			Name: "trace_builds_total", Label: label, Layer: obs.LayerCPU,
-			Unit: "builds", Help: "superblock trace build attempts (hot-block promotions)"}))
-		m.trSideExits = append(m.trSideExits, reg.Counter(obs.Desc{
-			Name: "trace_side_exits_total", Label: label, Layer: obs.LayerCPU,
-			Unit: "exits", Help: "trace passes abandoned mid-stream (state rolled back, replayed interpretively)"}))
-		m.trDeopts = append(m.trDeopts, reg.Counter(obs.Desc{
-			Name: "trace_deopts_total", Label: label, Layer: obs.LayerCPU,
-			Unit: "deopts", Help: "traces discarded because side exits dominated completed passes"}))
 	}
 	return m
 }
@@ -242,19 +219,6 @@ func (m *kmetrics) observeQuantum(k *Kernel, parallel bool, execWindow, mergeDur
 		}
 		m.bbLen.AddBuckets(lenDelta[:], bb.LenSum-prev.LenSum)
 		*prev = bb
-
-		tr := core.TraceCacheStats()
-		trPrev := &m.trLast[i]
-		m.trHits[i].Add(tr.Hits - trPrev.Hits)
-		m.trBuilds[i].Add(tr.Misses - trPrev.Misses)
-		m.trSideExits[i].Add(tr.SideExits - trPrev.SideExits)
-		m.trDeopts[i].Add(tr.Deopts - trPrev.Deopts)
-		var trLenDelta [len(tr.LenCounts)]uint64
-		for b := range tr.LenCounts {
-			trLenDelta[b] = tr.LenCounts[b] - trPrev.LenCounts[b]
-		}
-		m.trLen.AddBuckets(trLenDelta[:], tr.LenSum-trPrev.LenSum)
-		*trPrev = tr
 	}
 	m.memPages.Set(int64(k.machine.Memory().Pages()))
 }

@@ -153,15 +153,12 @@ func (m *Machine) SpawnProgram(name string, prog *isa.Program, ips uint64, loop 
 }
 
 // SpawnAnalyzedProgram runs guest static analysis (internal/gsa) over the
-// program before spawning it: the program is annotated with trace-seeding
-// hot-loop hints, and the new task's thread group is stamped with the
-// static risk prior — statically-flagged programs (PoW loop structure) are
-// then confirmed by the kernel on shortened monitoring windows
-// (Tunables.StaticPriorDivisor). Annotation mutates prog under the same
-// write-once discipline as program construction, so analyze before the
-// program image is loaded anywhere else.
+// program before spawning it, and stamps the new task's thread group with
+// the static risk prior: statically-flagged programs (PoW loop structure)
+// are then confirmed by the kernel on shortened monitoring windows
+// (Tunables.StaticPriorDivisor).
 func (m *Machine) SpawnAnalyzedProgram(name string, prog *isa.Program, ips uint64, loop bool) (*kernel.Task, gsa.StaticProfile, error) {
-	prof := gsa.Annotate(prog)
+	prof := gsa.Analyze(prog)
 	task, err := m.SpawnProgram(name, prog, ips, loop)
 	if err != nil {
 		return nil, prof, err
