@@ -79,11 +79,13 @@ fleet-smoke:
 	$(GO) run ./cmd/fleetload -machines 256 -duration 4s -round 500ms -period 3s
 
 # Bounded fuzz smoke over the CPU engines: the block engine, the only
-# fast tier, against the step engine, and every engine against panics.
-# Go fuzzes one target per invocation; 20 s each keeps CI short.
+# fast tier, against the step engine, and every engine against panics;
+# and over the fleet API's submit and alert-query handlers. Go fuzzes one
+# target per invocation; 20 s each keeps CI short.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzBlocksDifferential$$' -fuzztime 20s ./internal/cpu
 	$(GO) test -run '^$$' -fuzz '^FuzzExecutorNeverPanics$$' -fuzztime 20s ./internal/cpu
+	$(GO) test -run '^$$' -fuzz '^FuzzAPI$$' -fuzztime 20s ./internal/fleet
 
 # Race-detect the whole module. The packages the parallel quantum
 # execution touches (scheduler, core engines, counter banks, metrics

@@ -26,8 +26,9 @@ type Config struct {
 	// count and steal schedule affect wall-clock speed only: the alert
 	// stream is bit-identical for every value.
 	Shards int // cryptojack:hostonly -- worker-pool width, result-invariant
-	// Round is the simulated time every machine advances between barriers
-	// (default 1s). Alerts are batched per machine per round and flushed
+	// Round is the simulated time between barriers (default 1s); a
+	// machine with no event before a barrier may sit the round out and
+	// catch up later. Alerts are batched per machine per round and flushed
 	// into the fleet stream at the barrier, so Round bounds both alert
 	// staleness and submission-placement latency.
 	Round time.Duration
@@ -54,7 +55,8 @@ type Config struct {
 	NoSharedBlocks bool
 	// NoFastForward forces per-quantum simulation on every machine every
 	// round. The zero value lets quiescent machines (idle, or purely
-	// rate-model) advance analytically via Machine.FastForward — a pure
+	// rate-model) advance analytically via Machine.FastForwardTo, and skips
+	// the rounds in which such a machine has no event (see Member) — a pure
 	// performance ablation knob: the alert stream is bit-identical either
 	// way (kernel differential tests hold the two paths to equality).
 	NoFastForward bool // cryptojack:hostonly -- execution strategy, result-invariant
@@ -123,6 +125,13 @@ type Member struct {
 	// placed counts workloads placed on this member (the placement
 	// heuristic's load signal).
 	placed int
+	// horizon is the start of the machine's next quantum that does more
+	// than commutative accounting (kernel.FastForwardTo): a round whose
+	// barrier is at or before it leaves the machine parked, and a later
+	// advance covers the skipped span in one call. Written by the worker
+	// that advanced the member, read by the coordinator after the barrier;
+	// valid only within one Run call.
+	horizon time.Duration
 }
 
 // tenantKey identifies a placed workload's alert ownership: alerts from
@@ -134,12 +143,13 @@ type tenantKey struct {
 
 // worker is one claimant of the work-stealing round scheduler, mirroring
 // the kernel's stealWorker one level up: machines instead of cores. Each
-// worker owns a contiguous home batch [lo, hi) of the member list with an
-// atomic claim cursor; it drains its own batch first (cheap uncontended
-// claims, warm per-batch locality), then sweeps the other workers'
-// cursors stealing whatever they have not reached. Worker 0 is the
-// coordinator goroutine itself, so a one-worker fleet runs without any
-// goroutine round-trips.
+// worker owns a contiguous home batch [lo, hi) of the member list; each
+// round its due members form the slice [dueLo, dueHi) of the fleet's due
+// list, handed out by an atomic claim cursor. A worker drains its own
+// slice first (cheap uncontended claims, warm per-batch locality), then
+// sweeps the other workers' cursors stealing whatever they have not
+// reached. Worker 0 is the coordinator goroutine itself, so a one-worker
+// fleet runs without any goroutine round-trips.
 //
 // Pure host-side execution machinery (pool shape, claim cursors, and
 // wall-clock accounting): which worker advances a machine affects
@@ -148,17 +158,18 @@ type tenantKey struct {
 //
 //cryptojack:hostonly
 type worker struct {
-	f      *Fleet
-	id     int
-	lo, hi int          // home batch [lo, hi) of f.members
-	next   atomic.Int64 // claim cursor into the home batch; all workers share it
-	start  chan time.Duration
+	f            *Fleet
+	id           int
+	lo, hi       int          // home batch [lo, hi) of f.members
+	dueLo, dueHi int          // this round's home slice [dueLo, dueHi) of f.due
+	next         atomic.Int64 // claim cursor into the due slice; all workers share it
+	start        chan time.Duration
 
 	// Per-round scratch, reset by the coordinator before the start signal
 	// and folded into the registry at the barrier (both edges ordered by
 	// the channel send and the WaitGroup).
 	busy     time.Duration // wall time advancing machines, last round
-	claimed  uint64        // machines advanced, last round
+	claimed  uint64        // machines advanced (advance calls), last round
 	steals   uint64        // claims taken from other workers' batches
 	ffRounds uint64        // machine-rounds advanced analytically
 }
@@ -166,31 +177,39 @@ type worker struct {
 // Fleet runs thousands of Machines in one process: work-stealing workers
 // claim machines off per-batch atomic cursors, advance them in lock-step
 // rounds of simulated time (quiescent machines analytically, via
-// Machine.FastForward), and flush per-machine alert batches into one
-// canonically ordered fleet stream at every round barrier.
+// Machine.FastForwardTo, and only in rounds where they have an event),
+// and flush per-machine alert batches into one canonically ordered fleet
+// stream at every round barrier.
 //
 // Determinism: machines are mutually independent (the only shared
 // structure, the decoded-block cache, is content-deterministic and
-// read-mostly), every machine is claimed by exactly one worker per round,
-// and the barrier drains batches in machine-ID order — so the alert
-// stream is bit-identical across worker counts, steal schedules, and
-// fast-forward on/off. Submissions placed while the fleet is quiescent
-// (before Run, or between Run calls) are part of that guarantee;
-// submissions during a running round land immediately and are placed
-// best-effort relative to it.
+// read-mostly), every due machine is claimed by exactly one worker per
+// round, a skipped machine has no event before the barrier, and the
+// barrier drains batches in machine-ID order — so the alert stream is
+// bit-identical across worker counts, steal schedules, fast-forward
+// on/off, and how a span is split into Run calls. Submissions placed
+// while the fleet is quiescent (before Run, or between Run calls) are
+// part of that guarantee; submissions during a running round land at the
+// next barrier and are placed best-effort relative to it.
 //
 // Run must be driven from one goroutine at a time. Submit, AlertsSince,
 // Members, and the API handlers are safe to call concurrently with Run.
 type Fleet struct {
 	cfg     Config
 	members []*Member
+	// due lists, in ID order, the members advanced this round: those whose
+	// horizon is before the barrier, or every member in the first and last
+	// round of a Run call. Rebuilt by the coordinator before each round.
+	due     []*Member
 	workers []*worker // cryptojack:hostonly -- worker pool, result-invariant
 	shared  *cpu.SharedBlocks
 	om      *fmetrics // cryptojack:hostonly
 
-	// Scheduler test hooks (sched_test.go): hookRoundStart delays chosen
-	// workers to force steal-heavy schedules; noSteal confines every worker
-	// to its home batch. Both set before Run, read-only during it.
+	// Scheduler test hooks (sched_test.go, horizon_test.go):
+	// hookRoundStart runs at the start of every worker's share of a round
+	// that has machines due (delaying chosen workers forces steal-heavy
+	// schedules); noSteal confines every worker to its home slice. Both set
+	// before Run, read-only during it.
 	hookRoundStart func(workerID int) // cryptojack:hostonly -- test-only schedule shaping
 	noSteal        bool               // cryptojack:hostonly -- test-only schedule shaping
 
@@ -243,6 +262,7 @@ func New(cfg Config) (*Fleet, error) {
 	}
 	f := &Fleet{
 		cfg:     cfg,
+		due:     make([]*Member, 0, cfg.Machines),
 		owners:  map[tenantKey]string{},
 		tenants: map[string]int{},
 	}
@@ -322,18 +342,20 @@ func (f *Fleet) Now() time.Duration { return f.simTime }
 // Rounds returns the number of completed fleet rounds.
 func (f *Fleet) Rounds() uint64 { return f.rounds }
 
-// loop drives one thief worker: one round of simulated time per start
-// signal. Worker 0 never runs loop — the coordinator calls work inline.
+// loop drives one thief worker: one round per start signal, carrying the
+// round's barrier. Worker 0 never runs loop — the coordinator calls work
+// inline.
 func (w *worker) loop() {
-	for d := range w.start {
-		w.work(d)
+	for end := range w.start {
+		w.work(end)
 		w.f.workerWG.Done()
 	}
 }
 
-// work is one worker's share of a round: drain the home batch, then steal
-// from every other worker's batch until all cursors are exhausted.
-func (w *worker) work(step time.Duration) {
+// work is one worker's share of a round: drain the home slice of the due
+// list, then steal from every other worker's slice until all cursors are
+// exhausted.
+func (w *worker) work(end time.Duration) {
 	if h := w.f.hookRoundStart; h != nil {
 		h(w.id)
 	}
@@ -342,11 +364,11 @@ func (w *worker) work(step time.Duration) {
 		//lint:ignore determinism host wall clock feeds the worker busy-time metric only, never simulation state
 		t0 = time.Now()
 	}
-	w.drain(w, step, false)
+	w.drain(w, end, false)
 	if !w.f.noSteal {
 		n := len(w.f.workers)
 		for off := 1; off < n; off++ {
-			w.drain(w.f.workers[(w.id+off)%n], step, true)
+			w.drain(w.f.workers[(w.id+off)%n], end, true)
 		}
 	}
 	if w.f.om != nil {
@@ -354,38 +376,57 @@ func (w *worker) work(step time.Duration) {
 	}
 }
 
-// drain claims machines off v's cursor until v's batch is exhausted. The
-// cursor is atomic and monotonic, so across all claimants every index in
-// [v.lo, v.hi) is handed out exactly once per round.
-func (w *worker) drain(v *worker, step time.Duration, steal bool) {
+// drain claims due members off v's cursor until v's slice is exhausted.
+// The cursor is atomic and monotonic, so across all claimants every index
+// in [v.dueLo, v.dueHi) is handed out exactly once per round.
+func (w *worker) drain(v *worker, end time.Duration, steal bool) {
 	for {
 		i := int(v.next.Add(1)) - 1
-		if i >= v.hi {
+		if i >= v.dueHi {
 			return
 		}
-		w.advance(w.f.members[i], step)
+		if w.f.advance(w.f.due[i], end) {
+			w.ffRounds++
+		}
 		w.claimed++
 		if steal {
 			w.steals++
 		}
+		// A round in which parked machines catch up on many skipped rounds
+		// can run for tens of milliseconds without blocking, and until a
+		// worker enters the Go scheduler the timers on its processor wait:
+		// an API client sleeping between requests would wake on the
+		// runtime's 10ms preemption instead of its own deadline.
+		runtime.Gosched()
 	}
 }
 
-// advance moves one machine through the round: analytically when the
-// machine is quiescent (and the ablation knob allows), per-quantum
-// simulation otherwise. The two paths are bit-identical by the kernel's
-// differential guarantee.
-func (w *worker) advance(mem *Member, step time.Duration) {
-	if !w.f.cfg.NoFastForward && mem.M.FastForward(step) {
-		w.ffRounds++
-		return
+// advance moves one machine to the first quantum boundary at or past the
+// absolute time end — analytically when the machine is quiescent (and the
+// ablation knob allows), per-quantum simulation otherwise; the two paths
+// are bit-identical by the kernel's differential guarantee — and records
+// its new horizon. A machine that had to simulate gets its own clock as
+// horizon, so it is due every round. It reports whether the span was
+// fast-forwarded.
+func (f *Fleet) advance(mem *Member, end time.Duration) bool {
+	if !f.cfg.NoFastForward {
+		if h, ok := mem.M.FastForwardTo(end); ok {
+			mem.horizon = h
+			return true
+		}
 	}
-	mem.M.Run(step)
+	mem.M.RunTo(end)
+	mem.horizon = mem.M.Now()
+	return false
 }
 
 // Run advances every machine by d of simulated time in Round-sized
-// lock-step rounds (the tail round is shortened so all machines land
-// exactly d later). It must not be called concurrently with itself.
+// lock-step rounds (the tail round is shortened so the fleet clock lands
+// exactly d later, and every machine on the first quantum boundary at or
+// past it). Inside the call a machine may trail the fleet clock while it
+// has no event before the barrier; the first and last round advance every
+// machine, so horizons never outlive the call. It must not be called
+// concurrently with itself.
 func (f *Fleet) Run(d time.Duration) {
 	for _, w := range f.workers[1:] {
 		go w.loop()
@@ -403,42 +444,54 @@ func (f *Fleet) Run(d time.Duration) {
 		if remain := d - done; remain < step {
 			step = remain
 		}
-		f.round(step)
+		f.round(step, done == 0 || done+step == d)
 		done += step
 	}
 }
 
-// round runs one barrier-to-barrier step: the coordinator resets every
-// claim cursor, signals the thief workers, participates as worker 0, and
-// after the barrier drains per-machine alert batches in machine-ID order
-// — the canonical stream order that makes the result independent of which
-// worker advanced which machine. All per-worker observability deltas fold
-// into the registry here, once per round, never per machine.
-func (f *Fleet) round(step time.Duration) {
+// round runs one barrier-to-barrier step: the coordinator builds the due
+// list (every member when all is set or fast-forward is ablated), resets
+// every claim cursor, signals the thief workers, participates as worker
+// 0, and after the barrier drains per-machine alert batches in machine-ID
+// order — the canonical stream order that makes the result independent of
+// which worker advanced which machine. A round with nothing due wakes no
+// worker. All per-worker observability deltas fold into the registry
+// here, once per round, never per machine.
+func (f *Fleet) round(step time.Duration, all bool) {
 	var t0 time.Time
 	if f.om != nil {
 		//lint:ignore determinism host wall clock feeds the round-timing metric only, never simulation state
 		t0 = time.Now()
 	}
+	end := f.simTime + step
+	all = all || f.cfg.NoFastForward
+	f.due = f.due[:0]
 	for _, w := range f.workers {
-		w.next.Store(int64(w.lo))
+		w.dueLo = len(f.due)
+		for _, mem := range f.members[w.lo:w.hi] {
+			if all || mem.horizon < end {
+				f.due = append(f.due, mem)
+			}
+		}
+		w.dueHi = len(f.due)
+		w.next.Store(int64(w.dueLo))
 		w.claimed, w.steals, w.ffRounds, w.busy = 0, 0, 0, 0
 	}
-	f.workerWG.Add(len(f.workers) - 1)
-	for _, w := range f.workers[1:] {
-		w.start <- step
+	if len(f.due) > 0 {
+		f.workerWG.Add(len(f.workers) - 1)
+		for _, w := range f.workers[1:] {
+			w.start <- end
+		}
+		f.workers[0].work(end)
+		f.workerWG.Wait()
 	}
-	f.workers[0].work(step)
-	f.workerWG.Wait()
-	f.collect(step)
-	f.simTime += step
-	f.rounds++
+	caughtUp := f.collect(end)
 	if f.om != nil {
 		wall := time.Since(t0)
 		f.om.rounds.Inc()
 		f.om.roundNs.Observe(uint64(wall))
 		f.om.machineMs.Add(uint64(len(f.members)) * uint64(step.Milliseconds()))
-		var steals, ffRounds uint64
+		steals, ffRounds, advances := uint64(0), uint64(len(f.members)-len(f.due)), uint64(caughtUp)
 		for _, w := range f.workers {
 			f.om.workerBusy[w.id].Add(uint64(w.busy))
 			if idle := wall - w.busy; idle > 0 {
@@ -446,9 +499,11 @@ func (f *Fleet) round(step time.Duration) {
 			}
 			steals += w.steals
 			ffRounds += w.ffRounds
+			advances += w.claimed
 		}
 		f.om.steals.Add(steals)
 		f.om.ffRounds.Add(ffRounds)
+		f.om.advances.Add(advances)
 		f.om.observeShared(f.shared.Stats())
 	}
 }
@@ -459,21 +514,34 @@ func (f *Fleet) setRunning(v bool) {
 	f.mu.Unlock()
 }
 
-// collect flushes every member's pending alert batch into the stream, in
-// member-ID order, trimming the retention window, then applies deferred
-// submissions while every machine is quiescent at the barrier. step is the
-// round just executed (machines sit at f.simTime+step).
+// collect flushes the due members' pending alert batches into the stream,
+// in member-ID order, trimming the retention window, then applies
+// deferred submissions while every machine is parked at or before the
+// barrier end. Only a member advanced this round can hold alerts, so collect
+// scans the due list, not the fleet. A member that receives a deferred
+// submission and was left parked this round is first advanced to the
+// barrier, so the spawn lands at the same simulated time as without
+// skipping; collect returns how many such catch-up advances it made.
+// Last, it moves the fleet clock to end.
 //
 // The merge is pre-sized: one pass counts the round's alerts, the stream
 // grows (at most once) to fit them all, and the appends that follow never
 // reallocate. The retention trim slides survivors down in place instead
 // of copying into a fresh slice, so at steady state collect allocates
 // nothing; per-member pending batches keep their capacity round to round.
-func (f *Fleet) collect(step time.Duration) {
+func (f *Fleet) collect(end time.Duration) (caughtUp int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	// A parked member's horizon is at or past the barrier, so no quantum
+	// of its catch-up crosses a window and it raises no alert.
+	for _, b := range f.pendingSub {
+		if b.member.M.Now() < end {
+			f.advance(b.member, end)
+			caughtUp++
+		}
+	}
 	var total, batches int
-	for _, mem := range f.members {
+	for _, mem := range f.due {
 		if n := len(mem.pending); n > 0 {
 			total += n
 			batches++
@@ -488,7 +556,7 @@ func (f *Fleet) collect(step time.Duration) {
 			copy(ns, f.stream)
 			f.stream = ns
 		}
-		for _, mem := range f.members {
+		for _, mem := range f.due {
 			for _, a := range mem.pending {
 				f.stream = append(f.stream, Alert{
 					Seq:     f.nextSeq,
@@ -498,7 +566,7 @@ func (f *Fleet) collect(step time.Duration) {
 				})
 				f.nextSeq++
 				if f.om != nil {
-					f.om.alertLagMs.Observe(uint64((f.simTime + step - a.Time).Milliseconds()))
+					f.om.alertLagMs.Observe(uint64(max(end-a.Time, 0).Milliseconds()))
 				}
 			}
 			mem.pending = mem.pending[:0]
@@ -519,6 +587,10 @@ func (f *Fleet) collect(step time.Duration) {
 		f.om.alertBatches.Add(uint64(batches))
 	}
 	f.applyPendingLocked()
+	// The clock moves under mu: API handlers read it concurrently.
+	f.simTime = end
+	f.rounds++
+	return caughtUp
 }
 
 // AlertsSince returns up to limit alerts with sequence >= since, optionally

@@ -1,0 +1,169 @@
+package fleet
+
+import (
+	"encoding/json"
+	"reflect"
+	"sync/atomic"
+	"testing"
+	"time"
+)
+
+// horizonRun is what one way of driving the horizon population produced:
+// the JSON-encoded alert stream and a per-machine state snapshot.
+type horizonRun struct {
+	stream   []byte
+	machines []machineState
+}
+
+// machineState is the externally observable state of one member: clock,
+// housekeeping cost, and every core's counter bank.
+type machineState struct {
+	Now      time.Duration
+	Overhead uint64
+	Banks    [][]uint64
+}
+
+// runHorizonFleet builds an idle-heavy 16-machine fleet with 250ms rounds
+// and 2s windows, plants miners whose window crossings fall on either side
+// of a round barrier, and runs 6s more either as one Run call (long), as
+// one Run call per round (every machine advanced every round), or with
+// fast-forward ablated. At the round that starts at 2s the hook submits
+// two deferred workloads: a miner onto an idle machine the long run has
+// parked, and a two-thread miner onto an app machine in the middle of its
+// window.
+func runHorizonFleet(t *testing.T, long, noFF bool) horizonRun {
+	t.Helper()
+	cfg := testConfig(16) // 250ms rounds, 2s windows
+	cfg.Shards = 2
+	cfg.NoFastForward = noFF
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	submit := func(spec WorkloadSpec) Placement {
+		t.Helper()
+		pl, err := f.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pl
+	}
+	// Spawned at 0: rate-model apps, and a miner on a high machine ID
+	// whose crossing quantum [1996ms, 2000ms) ends exactly at a barrier.
+	for _, m := range []int{0, 8} {
+		submit(WorkloadSpec{Tenant: "acme", Kind: KindApp, App: "Slack", Machine: m, Pin: true})
+	}
+	submit(WorkloadSpec{Tenant: "attacker", Kind: KindMiner, Machine: 13, Pin: true})
+	// Spawned at 100ms: a miner on a low machine ID whose crossings fall
+	// mid-round, so the stream interleaves it with machine 13's.
+	f.Run(100 * time.Millisecond)
+	submit(WorkloadSpec{Tenant: "attacker", Kind: KindMiner, Machine: 2, Pin: true})
+	// Spawned at 252ms: its crossing quantum [2248ms, 2252ms) straddles
+	// the 2250ms barrier.
+	f.Run(150 * time.Millisecond)
+	submit(WorkloadSpec{Tenant: "attacker", Kind: KindMiner, Machine: 6, Pin: true})
+
+	var deferred []Placement
+	f.hookRoundStart = func(id int) {
+		if id != 0 || f.Now() != 2*time.Second || deferred != nil {
+			return
+		}
+		deferred = append(deferred,
+			submit(WorkloadSpec{Tenant: "late", Kind: KindMiner, Machine: 11, Pin: true}),
+			submit(WorkloadSpec{Tenant: "late", Kind: KindMiner, Threads: 2, Machine: 8, Pin: true}))
+	}
+	const span = 6 * time.Second
+	if long {
+		f.Run(span)
+	} else {
+		for i := time.Duration(0); i < span; i += cfg.Round {
+			f.Run(cfg.Round)
+		}
+	}
+	if len(deferred) != 2 || !deferred[0].Deferred || !deferred[1].Deferred {
+		t.Fatalf("hook submissions = %+v, want two deferred placements", deferred)
+	}
+
+	stream := f.AlertStream()
+	tenants := map[string]int{}
+	for _, a := range stream {
+		tenants[a.Tenant]++
+	}
+	if tenants["attacker"] < 6 || tenants["late"] == 0 {
+		t.Fatalf("alerts by tenant %v: want every planted and deferred miner to alert", tenants)
+	}
+	var run horizonRun
+	if run.stream, err = json.Marshal(stream); err != nil {
+		t.Fatal(err)
+	}
+	for _, mem := range f.Members() {
+		s := machineState{Now: mem.M.Now(), Overhead: mem.M.Kernel().SampleOverheadCycles()}
+		c := mem.M.CPU()
+		for i := 0; i < c.Cores(); i++ {
+			b := c.Core(i).Counters()
+			hist := b.Histogram()
+			s.Banks = append(s.Banks, append([]uint64{b.RSX(), b.Retired(), b.Cycles()}, hist[:]...))
+		}
+		run.machines = append(run.machines, s)
+	}
+	return run
+}
+
+// TestFleetHorizonDifferential holds event-horizon round skipping to the
+// fleet's determinism contract: one long Run call, which leaves machines
+// parked across rounds with no event, must produce the byte-identical
+// alert stream and the identical per-machine clocks, counters and
+// housekeeping cost as one Run call per round and as the fast-forward
+// ablation, both of which advance every machine every round — including
+// around deferred submissions onto parked machines.
+func TestFleetHorizonDifferential(t *testing.T) {
+	want := runHorizonFleet(t, false, false)
+	for _, run := range []struct {
+		name       string
+		long, noFF bool
+	}{
+		{"long-run", true, false},
+		{"long-run-no-fastforward", true, true},
+	} {
+		got := runHorizonFleet(t, run.long, run.noFF)
+		if string(got.stream) != string(want.stream) {
+			t.Errorf("%s: alert stream diverged from per-round Run calls\n got %s\nwant %s", run.name, got.stream, want.stream)
+		}
+		for i := range want.machines {
+			if !reflect.DeepEqual(got.machines[i], want.machines[i]) {
+				t.Errorf("%s: machine %d state %+v, per-round Run calls %+v", run.name, i, got.machines[i], want.machines[i])
+			}
+		}
+	}
+}
+
+// TestFleetSkipsIdleRounds: on an idle-heavy fleet a long Run call
+// advances far fewer machines than machines x rounds, the skipped
+// machine-rounds still count as fast-forwarded, and a round with nothing
+// due wakes no worker.
+func TestFleetSkipsIdleRounds(t *testing.T) {
+	cfg := testConfig(64)
+	cfg.Shards = 2
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedIdleHeavy(t, f)
+	var woken atomic.Int64
+	f.hookRoundStart = func(int) { woken.Add(1) }
+	f.Run(5 * time.Second)
+	machineRounds := float64(64 * f.Rounds())
+	advances, _ := f.Obs().Value("fleet_machine_advances_total", "")
+	ff, _ := f.Obs().Value("fleet_fastforward_rounds_total", "")
+	if advances >= machineRounds/4 {
+		t.Errorf("fleet_machine_advances_total = %v of %v machine-rounds; idle machines were not skipped", advances, machineRounds)
+	}
+	if ff != machineRounds {
+		t.Errorf("fleet_fastforward_rounds_total = %v, want every one of the %v machine-rounds", ff, machineRounds)
+	}
+	// First and last rounds, plus the rounds holding the apps' window
+	// crossings at 2s and 4s: each wakes worker 0 and worker 1.
+	if n := woken.Load(); n != 2*4 {
+		t.Errorf("workers woken %d times in %d rounds, want 8 (4 rounds with machines due)", n, f.Rounds())
+	}
+}

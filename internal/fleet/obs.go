@@ -34,6 +34,7 @@ type fmetrics struct {
 	workerIdle []*obs.Counter
 	steals     *obs.Counter
 	ffRounds   *obs.Counter
+	advances   *obs.Counter
 
 	alerts       *obs.Counter
 	alertBatches *obs.Counter
@@ -66,8 +67,10 @@ func newFMetrics(reg *obs.Registry, shards int) *fmetrics {
 			Unit: "machines", Help: "machine advances claimed from another worker's home batch"}),
 		ffRounds: reg.Counter(obs.Desc{Name: "fleet_fastforward_rounds_total", Layer: obs.LayerFleet,
 			Unit: "machine-rounds", Help: "machine-rounds advanced analytically by quiescent fast-forward instead of instruction dispatch"}),
+		advances: reg.Counter(obs.Desc{Name: "fleet_machine_advances_total", Layer: obs.LayerFleet,
+			Unit: "calls", Help: "machine advance calls (fast-forward or per-quantum run); machine-rounds minus these were skipped as having no event"}),
 		rounds: reg.Counter(obs.Desc{Name: "fleet_rounds_total", Layer: obs.LayerFleet,
-			Unit: "rounds", Help: "fleet rounds completed (one Round of simulated time on every machine)"}),
+			Unit: "rounds", Help: "fleet rounds completed (one Round of simulated time on the fleet clock)"}),
 		machineMs: reg.Counter(obs.Desc{Name: "fleet_machine_ms_total", Layer: obs.LayerFleet,
 			Unit: "ms", Help: "simulated machine-milliseconds advanced (machines x rounds x round length)"}),
 		roundNs: reg.Histogram(obs.Desc{Name: "fleet_round_ns", Layer: obs.LayerFleet,

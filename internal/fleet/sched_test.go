@@ -109,35 +109,37 @@ func TestFleetStealMetrics(t *testing.T) {
 }
 
 // TestFleetWorkerCoverage: with stealing disabled every worker advances
-// exactly its home batch, proving the claim cursors hand out each index
-// once (no machine skipped, none advanced twice — the double-advance case
-// would also trip the determinism test, but this pins the mechanism).
+// exactly its home batch in the last round of a Run call, proving the
+// claim cursors hand out each index once (no machine skipped, none
+// advanced twice — the double-advance case would also trip the
+// determinism test, but this pins the mechanism). The round is not a
+// whole number of quanta, so it also pins the clock: machines advance to
+// the absolute barrier, never a round length past their own overshot
+// clock, and end within one quantum of the fleet clock.
 func TestFleetWorkerCoverage(t *testing.T) {
 	cfg := testConfig(10)
 	cfg.Shards = 3
+	ts := cfg.Machine.Kernel.TimeSlice
+	if cfg.Round%ts == 0 {
+		t.Fatalf("round %v is a whole number of %v quanta; the clock check needs a remainder", cfg.Round, ts)
+	}
 	f, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	f.noSteal = true
 	seedWorkloads(t, f)
-	f.Run(time.Second)
-	// Machine clocks overshoot the round span to a whole quantum, but every
-	// machine overshoots identically — a skipped or doubled round would
-	// break the agreement.
-	want := f.Members()[0].M.Now()
-	if want < f.Now() {
-		t.Errorf("machines at %v, behind the fleet clock %v", want, f.Now())
-	}
+	f.Run(2 * time.Second)
 	for _, mem := range f.Members() {
-		if mem.M.Now() != want {
-			t.Errorf("machine %d at %v, fleet peers at %v", mem.ID, mem.M.Now(), want)
+		if now := mem.M.Now(); now < f.Now() || now >= f.Now()+ts {
+			t.Errorf("machine %d at %v, want within [%v, %v)", mem.ID, now, f.Now(), f.Now()+ts)
 		}
 	}
 	var claimed uint64
 	for _, w := range f.workers {
-		if w.claimed != uint64(w.hi-w.lo) {
-			t.Errorf("worker %d claimed %d machines, home batch holds %d", w.id, w.claimed, w.hi-w.lo)
+		if w.claimed != uint64(w.hi-w.lo) || w.dueHi-w.dueLo != w.hi-w.lo {
+			t.Errorf("worker %d claimed %d of %d due machines, home batch holds %d",
+				w.id, w.claimed, w.dueHi-w.dueLo, w.hi-w.lo)
 		}
 		claimed += w.claimed
 	}

@@ -311,6 +311,7 @@ func (f *Fleet) applyLocked(spec WorkloadSpec, mem *Member) ([]int, error) {
 }
 
 // applyPendingLocked drains the deferred-submission queue at a round
+// barrier, where collect has brought every target member up to the
 // barrier. Spawn errors are counted and dropped — the submitter already
 // got a Deferred placement and the machine stays consistent.
 //
@@ -320,6 +321,9 @@ func (f *Fleet) applyPendingLocked() {
 		if _, err := f.applyLocked(b.spec, b.member); err != nil && f.om != nil {
 			f.om.apiErrors.Inc()
 		}
+		// The spawn changed the runnable set, so the old horizon is stale:
+		// the member is due next round.
+		b.member.horizon = b.member.M.Now()
 	}
 	f.pendingSub = f.pendingSub[:0]
 }

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"math"
 	"time"
 
 	"darkarts/internal/cpu"
@@ -21,64 +22,46 @@ type AnalyticWorkload interface {
 	RunSlices(core *cpu.Core, d time.Duration, n int)
 }
 
-// Quiescence classifies the kernel's runnable set for fast-forward
-// decisions. The probe is advisory: FastForward re-checks eligibility
-// itself (including whether the slice plan covers every runnable task).
-type Quiescence int
+// NoHorizon is the horizon of a kernel whose future quanta are all
+// commutative accounting: nothing runnable, monitoring disabled, or no
+// monitored task in the plan. Its quanta can be deferred indefinitely.
+const NoHorizon = time.Duration(math.MaxInt64)
 
-// Quiescence levels.
-const (
-	// QuiesceBusy: at least one runnable task needs per-quantum simulation
-	// (ISA-backed or otherwise non-analytic).
-	QuiesceBusy Quiescence = iota
-	// QuiesceIdle: the runnable set is empty; time advances for free.
-	QuiesceIdle
-	// QuiesceRate: every runnable task is a rate model (AnalyticWorkload).
-	QuiesceRate
-)
-
-// Quiescence reports the current runnable-set class. Safe to call
-// concurrently with a running simulation.
-func (k *Kernel) Quiescence() Quiescence {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	idle := true
-	for i := k.runqHead; i < len(k.runq); i++ {
-		t := k.runq[i]
-		if t.exited {
-			continue
-		}
-		idle = false
-		if _, ok := t.workload.(AnalyticWorkload); !ok || t.workload.Done() {
-			return QuiesceBusy
-		}
-	}
-	if idle {
-		return QuiesceIdle
-	}
-	return QuiesceRate
+// FastForward is FastForwardTo(Now()+d), reporting only acceptance.
+func (k *Kernel) FastForward(d time.Duration) bool {
+	_, ok := k.FastForwardTo(k.Now() + d)
+	return ok
 }
 
-// FastForward advances the simulation by d of simulated time without
-// per-quantum dispatch, iff the whole span can be advanced analytically:
-// the runnable set is empty (time moves for free) or purely rate-model
-// with a slice plan that covers every runnable task. Counter banks, RSX
-// accumulators, window state, rng streams, the sample count, and any
-// alerts raised are bit-identical to Run(d) — the differential tests in
-// analytic_test.go hold the two paths to equality field by field.
+// FastForwardTo advances the simulation to the first quantum boundary at
+// or past end without per-quantum dispatch, iff the whole span can be
+// advanced analytically: the runnable set is empty (time moves for free)
+// or purely rate-model with a slice plan that covers every runnable task.
+// Counter banks, RSX accumulators, window state, rng streams, the sample
+// count, and any alerts raised are bit-identical to RunTo(end) — the
+// differential tests in analytic_test.go hold the two paths to equality
+// field by field.
 //
-// It returns false — leaving all state untouched — when the span needs
-// per-quantum simulation (ISA work queued, an oversubscribed plan, a
+// It returns ok = false — leaving all state untouched — when the span
+// needs per-quantum simulation (ISA work queued, an oversubscribed plan, a
 // machine-local metrics registry whose per-quantum observations would be
-// skipped, or a parked deferred merge). Callers fall back to Run.
+// skipped, or a parked deferred merge). Callers fall back to RunTo.
 //
-// Alert callbacks fire after the whole span, in alert order (Run fires
+// On success horizon is the start of the next quantum that does anything
+// beyond commutative accounting: the first monitoring-window crossing of
+// a monitored thread group or session in the stationary plan, or
+// NoHorizon when there is none. Until Spawn or a tunable write changes
+// the kernel, every quantum before horizon can be deferred and later
+// advanced in one span without changing any result. On refusal horizon
+// is the current time.
+//
+// Alert callbacks fire after the whole span, in alert order (RunTo fires
 // them per quantum; the order, which is all the fleet barrier consumes,
 // is identical).
-func (k *Kernel) FastForward(d time.Duration) bool {
+func (k *Kernel) FastForwardTo(end time.Duration) (horizon time.Duration, ok bool) {
 	k.mu.Lock()
 	base := len(k.alerts)
-	ok := k.fastForwardLocked(k.now + d)
+	horizon, ok = k.fastForwardLocked(end)
 	fired := k.alerts[base:len(k.alerts):len(k.alerts)]
 	k.mu.Unlock()
 	if k.onAlert != nil {
@@ -86,23 +69,18 @@ func (k *Kernel) FastForward(d time.Duration) bool {
 			k.onAlert(a)
 		}
 	}
-	return ok
+	return horizon, ok
 }
 
 // fastForwardLocked advances k.now to the first quantum boundary at or
-// past end (the same overshoot Run produces), entirely analytically, or
-// does nothing and reports false. Caller holds k.mu.
+// past end (where RunTo stops), entirely analytically, and returns the
+// new horizon; or does nothing and reports false. Caller holds k.mu.
 //
 //cryptojack:locked
-func (k *Kernel) fastForwardLocked(end time.Duration) bool {
+func (k *Kernel) fastForwardLocked(end time.Duration) (time.Duration, bool) {
 	if k.pendingMerge {
-		return false
+		return k.now, false
 	}
-	ts := k.cfg.TimeSlice
-	if k.now >= end {
-		return true
-	}
-	n := int((end - k.now + ts - 1) / ts) // quanta Run would execute
 	// Pre-scan the runnable set: every runnable task must be an analytic
 	// rate model for the plan to be stationary across the span.
 	idle := true
@@ -113,19 +91,27 @@ func (k *Kernel) fastForwardLocked(end time.Duration) bool {
 		}
 		idle = false
 		if _, ok := t.workload.(AnalyticWorkload); !ok || t.workload.Done() {
-			return false
+			return k.now, false
 		}
+	}
+	ts := k.cfg.TimeSlice
+	n := 0 // quanta RunTo would execute
+	if end > k.now {
+		n = int((end - k.now + ts - 1) / ts)
 	}
 	if idle {
 		// Nothing runnable: each quantum only advances the clock.
 		k.now += time.Duration(n) * ts
-		return true
+		return NoHorizon, true
 	}
 	if k.om != nil {
 		// A machine-local registry observes every quantum (phase timings,
 		// per-switch deltas); skipping those observations would fork the
 		// metric stream, so instrumented kernels always simulate.
-		return false
+		return k.now, false
+	}
+	if n == 0 {
+		return k.now, true
 	}
 	// Build the slice plan once. If it does not absorb the whole queue the
 	// plan rotates quantum to quantum and the span is not analytic —
@@ -136,7 +122,7 @@ func (k *Kernel) fastForwardLocked(end time.Duration) bool {
 	if k.runqHead != len(k.runq) {
 		copy(k.runq[head0:], k.ffScratch)
 		k.runqHead = head0
-		return false
+		return k.now, false
 	}
 	// The plan is stationary: with no exits and no queue remainder,
 	// rebuildRunq reproduces pop order, so every quantum in the span would
@@ -148,20 +134,7 @@ func (k *Kernel) fastForwardLocked(end time.Duration) bool {
 	// ordering (including multi-task thread groups and session
 	// aggregation) match per-quantum simulation bit for bit.
 	for remaining := n; remaining > 0; {
-		batch := remaining
-		if k.tunables.Enabled {
-			for i := range k.plan {
-				t := k.plan[i].task
-				if t.UID == 0 && !k.tunables.MonitorRoot {
-					continue
-				}
-				batch = min(batch, k.quantaBeforeCrossing(t.rsxPtr))
-				if k.tunables.SessionAggregation && t.sessPtr != nil && t.sessPtr != t.rsxPtr {
-					batch = min(batch, k.quantaBeforeCrossing(t.sessPtr))
-				}
-			}
-		}
-		if batch > 0 {
+		if batch := min(remaining, k.quietQuanta()); batch > 0 {
 			k.runPlanBatch(batch)
 			k.now += time.Duration(batch) * ts
 			remaining -= batch
@@ -173,8 +146,36 @@ func (k *Kernel) fastForwardLocked(end time.Duration) bool {
 		k.now += ts
 		remaining--
 	}
+	horizon := NoHorizon
+	if q := k.quietQuanta(); q != math.MaxInt {
+		horizon = k.now + time.Duration(q)*ts
+	}
 	k.rebuildRunq()
-	return true
+	return horizon, true
+}
+
+// quietQuanta returns how many quanta of the current plan may run before
+// one crosses a monitored group's window: the minimum of
+// quantaBeforeCrossing over every accounting structure the plan touches,
+// or math.MaxInt when monitoring is off or no planned task is monitored.
+//
+//cryptojack:locked
+func (k *Kernel) quietQuanta() int {
+	q := math.MaxInt
+	if !k.tunables.Enabled {
+		return q
+	}
+	for i := range k.plan {
+		t := k.plan[i].task
+		if t.UID == 0 && !k.tunables.MonitorRoot {
+			continue
+		}
+		q = min(q, k.quantaBeforeCrossing(t.rsxPtr))
+		if k.tunables.SessionAggregation && t.sessPtr != nil && t.sessPtr != t.rsxPtr {
+			q = min(q, k.quantaBeforeCrossing(t.sessPtr))
+		}
+	}
+	return q
 }
 
 // quantaBeforeCrossing returns how many quanta may elapse before g's next

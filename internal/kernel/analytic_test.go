@@ -176,15 +176,16 @@ func TestFastForwardSessionAggregation(t *testing.T) {
 // Run's quantum-grained clock exactly.
 func TestFastForwardIdle(t *testing.T) {
 	ref, ff := newFFMachine(t), newFFMachine(t)
-	if q := ff.Quiescence(); q != kernel.QuiesceIdle {
-		t.Fatalf("Quiescence = %v, want QuiesceIdle", q)
-	}
 	// 1s is not a whole number of 4ms quanta times 3 — use an odd span so
 	// the quantum-overshoot arithmetic is actually exercised.
 	const span = 997 * time.Millisecond
 	ref.Run(span)
-	if !ff.FastForward(span) {
+	horizon, ok := ff.FastForwardTo(span)
+	if !ok {
 		t.Fatal("FastForward refused an idle machine")
+	}
+	if horizon != kernel.NoHorizon {
+		t.Errorf("idle horizon = %v, want NoHorizon", horizon)
 	}
 	if ref.Now() != ff.Now() {
 		t.Errorf("idle fast-forward clock %v, Run clock %v", ff.Now(), ref.Now())
@@ -208,14 +209,18 @@ func TestFastForwardRefusesISA(t *testing.T) {
 		return m
 	}
 	ref, ff := build(), build()
-	if q := ff.Quiescence(); q != kernel.QuiesceBusy {
-		t.Fatalf("Quiescence = %v, want QuiesceBusy", q)
-	}
-	if ff.FastForward(time.Second) {
+	ff.Run(10 * time.Millisecond)
+	ref.Run(10 * time.Millisecond)
+	before := ff.Now()
+	horizon, ok := ff.FastForwardTo(time.Second)
+	if ok {
 		t.Fatal("FastForward accepted a machine with ISA work")
 	}
-	if now := ff.Now(); now != 0 {
-		t.Fatalf("refused FastForward advanced the clock to %v", now)
+	if now := ff.Now(); now != before {
+		t.Fatalf("refused FastForward moved the clock from %v to %v", before, now)
+	}
+	if horizon != before {
+		t.Errorf("refusal horizon = %v, want the current time %v", horizon, before)
 	}
 	ref.Run(3 * time.Second)
 	ff.Run(3 * time.Second)
@@ -240,11 +245,12 @@ func TestFastForwardRefusesOversubscribed(t *testing.T) {
 		return m
 	}
 	ref, ff := build(), build()
-	if q := ff.Quiescence(); q != kernel.QuiesceRate {
-		t.Fatalf("Quiescence = %v, want QuiesceRate (the probe is advisory)", q)
-	}
-	if ff.FastForward(time.Second) {
+	horizon, ok := ff.FastForwardTo(time.Second)
+	if ok {
 		t.Fatal("FastForward accepted an oversubscribed plan")
+	}
+	if horizon != 0 {
+		t.Errorf("refusal horizon = %v, want the current time 0", horizon)
 	}
 	ref.Run(3 * time.Second)
 	ff.Run(3 * time.Second)
@@ -268,5 +274,51 @@ func TestFastForwardAlertCallback(t *testing.T) {
 	}
 	if !reflect.DeepEqual(seen, m.Alerts()) {
 		t.Errorf("callback stream %+v != alert log %+v", seen, m.Alerts())
+	}
+}
+
+// TestFastForwardHorizon: the horizon fast-forward returns is the start of
+// the quantum whose context switch crosses the next monitoring window, so
+// the alert a full-speed miner raises there carries that quantum's end as
+// its time. With monitoring off no quantum does more than count, and the
+// horizon is NoHorizon.
+func TestFastForwardHorizon(t *testing.T) {
+	ts := ffOptions().Kernel.TimeSlice
+	m := newFFMachine(t)
+	miner.SpawnMiner(m.Kernel(), miner.Monero, 0, 4, 1000)
+	var alerts []kernel.Alert
+	m.OnAlert(func(a kernel.Alert) { alerts = append(alerts, a) })
+	horizon := time.Duration(-1)
+	checked := 0
+	for end := 300 * time.Millisecond; end <= 9*time.Second; end += 300 * time.Millisecond {
+		before := len(alerts)
+		h, ok := m.FastForwardTo(end)
+		if !ok {
+			t.Fatalf("FastForwardTo(%v) refused a miner-only machine", end)
+		}
+		for _, a := range alerts[before:] {
+			if a.Time != horizon+ts {
+				t.Errorf("alert at %v, previous horizon %v: want the alert one quantum after the horizon", a.Time, horizon)
+			}
+			checked++
+		}
+		if now := m.Now(); h < now {
+			t.Errorf("horizon %v behind the clock %v", h, now)
+		}
+		horizon = h
+	}
+	if checked < 3 {
+		t.Fatalf("only %d alerts checked against a horizon", checked)
+	}
+
+	opts := ffOptions()
+	opts.Kernel.Tunables.Enabled = false
+	off, err := machine.New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	miner.SpawnMiner(off.Kernel(), miner.Monero, 0, 4, 1000)
+	if h, ok := off.FastForwardTo(time.Second); !ok || h != kernel.NoHorizon {
+		t.Errorf("monitoring off: FastForwardTo = (%v, %v), want (NoHorizon, true)", h, ok)
 	}
 }

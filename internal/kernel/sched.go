@@ -418,16 +418,18 @@ func (k *Kernel) startWorkers() (stop func()) {
 	}
 }
 
-// Run advances the simulation by d of simulated time, scheduling runnable
-// tasks round-robin across all cores in time-slice quanta. In parallel
-// mode each quantum's accounting is deferred and overlapped with the next
-// quantum's execute phase; the final quantum's deferred accounting is
-// flushed before Run returns, so callers always observe fully merged
-// state.
-func (k *Kernel) Run(d time.Duration) {
+// Run is RunTo(Now()+d).
+func (k *Kernel) Run(d time.Duration) { k.RunTo(k.Now() + d) }
+
+// RunTo advances the simulation to the first quantum boundary at or past
+// the absolute simulated time end, scheduling runnable tasks round-robin
+// across all cores in time-slice quanta. In parallel mode each quantum's
+// accounting is deferred and overlapped with the next quantum's execute
+// phase; the final quantum's deferred accounting is flushed before RunTo
+// returns, so callers always observe fully merged state.
+func (k *Kernel) RunTo(end time.Duration) {
 	stop := k.startWorkers()
 	defer stop()
-	end := k.Now() + d
 	for k.Now() < end {
 		k.quantum(false)
 	}

@@ -172,20 +172,29 @@ func (m *Machine) SpawnAnalyzedProgram(name string, prog *isa.Program, ips uint6
 // condition: single core, detailed mode, attached observer).
 func (m *Machine) Parallel() bool { return m.kern.ParallelActive() }
 
-// Run advances simulated time.
+// Run advances simulated time by d (to the first quantum boundary at or
+// past Now()+d).
 func (m *Machine) Run(d time.Duration) { m.kern.Run(d) }
 
-// FastForward advances simulated time analytically when the machine is
-// quiescent — nothing runnable, or a purely rate-model runnable set whose
-// slice plan is stationary — leaving all observable state bit-identical
-// to Run(d). It reports whether the span was advanced; false means no
-// state changed and the caller must Run(d) instead. Fleets use this to
-// skip instruction dispatch on idle and rate-model-only members.
+// RunTo advances simulated time to the first quantum boundary at or past
+// the absolute time end.
+func (m *Machine) RunTo(end time.Duration) { m.kern.RunTo(end) }
+
+// FastForward is FastForwardTo(Now()+d), reporting only acceptance.
 func (m *Machine) FastForward(d time.Duration) bool { return m.kern.FastForward(d) }
 
-// Quiescence classifies the machine's runnable set (idle, purely
-// rate-model, or busy) for fast-forward decisions; see kernel.Quiescence.
-func (m *Machine) Quiescence() kernel.Quiescence { return m.kern.Quiescence() }
+// FastForwardTo advances simulated time to the first quantum boundary at
+// or past end analytically when the machine is quiescent — nothing
+// runnable, or a purely rate-model runnable set whose slice plan is
+// stationary — leaving all observable state bit-identical to RunTo(end).
+// ok = false means no state changed and the caller must RunTo(end)
+// instead. On success horizon is the start of the next quantum that could
+// raise an alert or reset a monitoring window (kernel.NoHorizon if none):
+// fleets leave the machine parked until a round barrier passes it. See
+// kernel.FastForwardTo.
+func (m *Machine) FastForwardTo(end time.Duration) (horizon time.Duration, ok bool) {
+	return m.kern.FastForwardTo(end)
+}
 
 // RunUntilAlert runs until an alert fires or the duration elapses.
 func (m *Machine) RunUntilAlert(d time.Duration) bool {
