@@ -47,8 +47,12 @@ build:
 perfbench-check:
 	cd perfbench && $(GO) vet . && $(GO) test .
 
+# The second line reruns the scheduler's serial/parallel differential tests
+# at -cpu 1 and 4: at GOMAXPROCS=1 the work-stealing pool has zero thieves
+# and the scheduler goroutine claims every core itself.
 test:
 	$(GO) test ./...
+	$(GO) test -run 'Parallel|RunUntilAlert|Accessors|Callback' -cpu 1,4 ./internal/kernel
 
 # Documentation gate: vet plus a doc.go package comment for every
 # internal package (the per-package paper tie-ins; see OBSERVABILITY.md

@@ -157,7 +157,11 @@ func (f *Fleet) handleWorkloads(w http.ResponseWriter, r *http.Request) {
 	}
 	pl, err := f.Submit(spec)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
+		status := http.StatusBadRequest
+		if errors.Is(err, ErrSubmitBacklog) {
+			status = http.StatusTooManyRequests
+		}
+		writeJSON(w, status, apiError{Error: err.Error()})
 		return
 	}
 	writeJSON(w, http.StatusCreated, pl)

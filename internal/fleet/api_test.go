@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -148,9 +149,9 @@ type apiErrorCase struct {
 	status             int
 }
 
-// apiErrorCases are the refused requests TestAPIErrors pins; their submit
-// bodies also seed FuzzAPI. freqHz is the fleet machines' clock rate, the
-// cap on a program's ips.
+// apiErrorCases are the refused requests TestAPIErrors pins, including
+// every route's 405; they also seed FuzzAPI. freqHz is the fleet
+// machines' clock rate, the cap on a program's ips.
 func apiErrorCases(freqHz uint64) []apiErrorCase {
 	return []apiErrorCase{
 		{http.MethodPost, "/api/v1/workloads", `{"tenant":"t","kind":"nope"}`, http.StatusBadRequest},
@@ -158,6 +159,9 @@ func apiErrorCases(freqHz uint64) []apiErrorCase {
 		{http.MethodPost, "/api/v1/workloads", `{"kind":"app","app":"Slack"}`, http.StatusBadRequest}, // no tenant
 		{http.MethodGet, "/api/v1/workloads", "", http.StatusMethodNotAllowed},
 		{http.MethodPost, "/api/v1/fleet", "", http.StatusMethodNotAllowed},
+		{http.MethodPost, "/api/v1/alerts", "", http.StatusMethodNotAllowed},
+		{http.MethodPut, "/api/v1/machines", "", http.StatusMethodNotAllowed},
+		{http.MethodDelete, "/api/v1/stats", "", http.StatusMethodNotAllowed},
 		{http.MethodGet, "/api/v1/alerts?since=abc", "", http.StatusBadRequest},
 		{http.MethodGet, "/api/v1/alerts?limit=x", "", http.StatusBadRequest},
 		{http.MethodPost, "/api/v1/workloads", `{"tenant":"` + strings.Repeat("t", maxSubmitBytes) + `"}`, http.StatusRequestEntityTooLarge},
@@ -190,22 +194,100 @@ func TestAPIErrors(t *testing.T) {
 	}
 }
 
-// FuzzAPI drives the fleet API with arbitrary submit bodies and alert-query
-// parameters. Whatever the input, no handler may panic or answer 5xx, and
-// every 4xx must carry a non-empty apiError body. Each submission goes to
-// a fresh two-machine fleet, so accepted workloads do not pile up across
-// inputs; queries go to one fleet whose retained stream holds alerts and
-// has trimmed older ones, so cursors land before, inside and past it.
-func FuzzAPI(f *testing.F) {
-	for _, c := range apiErrorCases(testConfig(2).Machine.CPU.FreqHz) {
-		if c.path == "/api/v1/workloads" && c.method == http.MethodPost {
-			f.Add(c.body, "0", "10", "mallory")
+// TestAPISubmitBacklog: submissions made while a round runs queue for the
+// next barrier, but at most maxPendingSubmissions of them. The next one is
+// refused with 429 before any placement state changes, and the queue
+// drains at the barrier, after which submissions are accepted again.
+func TestAPISubmitBacklog(t *testing.T) {
+	f, err := New(testConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := f.Handler()
+	submit := func() *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/workloads",
+			strings.NewReader(`{"tenant":"t","kind":"app","app":"Slack"}`)))
+		return rec
+	}
+	var codes []int
+	var refused *httptest.ResponseRecorder
+	f.hookRoundStart = func(id int) {
+		if id != 0 || codes != nil {
+			return
+		}
+		for range maxPendingSubmissions + 1 {
+			rec := submit()
+			codes = append(codes, rec.Code)
+			refused = rec
+		}
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		if f.placeID != maxPendingSubmissions || f.tenants["t"] != maxPendingSubmissions {
+			t.Errorf("refused submission changed placement state: placeID %d, tenant count %d, want %d",
+				f.placeID, f.tenants["t"], maxPendingSubmissions)
 		}
 	}
-	f.Add(`{"tenant":"t","kind":"miner","threads":3,"throttle":0.5}`, "1", "1", "t")
-	f.Add(`{"tenant":"t","kind":"program","program":"xmr-isa","ips":1000000}`, "", "", "")
-	f.Add(`{"tenant":"t","kind":"miner","machine":-1,"pin":true}`, "18446744073709551615", "-1", "")
-	f.Add(`{}`, "9223372036854775808", "x", "acme")
+	f.Run(testConfig(2).Round)
+	if len(codes) != maxPendingSubmissions+1 {
+		t.Fatalf("hook made %d submissions, want %d", len(codes), maxPendingSubmissions+1)
+	}
+	for i, code := range codes[:maxPendingSubmissions] {
+		if code != http.StatusCreated {
+			t.Fatalf("submission %d: status %d, want %d", i, code, http.StatusCreated)
+		}
+	}
+	if refused.Code != http.StatusTooManyRequests {
+		t.Fatalf("submission past the cap: status %d, want %d", refused.Code, http.StatusTooManyRequests)
+	}
+	var body apiError
+	if err := json.NewDecoder(refused.Body).Decode(&body); err != nil || body.Error == "" {
+		t.Errorf("429 error body = %+v, %v", body, err)
+	}
+	placed := 0
+	for _, mem := range f.Members() {
+		placed += mem.placed
+	}
+	if placed != maxPendingSubmissions {
+		t.Errorf("members hold %d placements, want %d", placed, maxPendingSubmissions)
+	}
+	if rec := submit(); rec.Code != http.StatusCreated {
+		t.Errorf("submission after the barrier drained the queue: status %d, want %d", rec.Code, http.StatusCreated)
+	}
+}
+
+// apiRoutes are the fleet API's routes; FuzzAPI's route input indexes it.
+var apiRoutes = []string{"fleet", "workloads", "alerts", "machines", "stats"}
+
+// FuzzAPI drives every fleet API route with an arbitrary method, body and
+// query parameters. Whatever the input, no handler may panic or answer
+// 5xx, and every 4xx must carry a non-empty apiError body. Submissions go
+// to a fresh two-machine fleet, so accepted workloads do not pile up
+// across inputs; the other routes go to one fleet whose retained stream
+// holds alerts and has trimmed older ones, so alert cursors land before,
+// inside and past it.
+func FuzzAPI(f *testing.F) {
+	for _, c := range apiErrorCases(testConfig(2).Machine.CPU.FreqHz) {
+		u, err := url.Parse(c.path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		route := slices.Index(apiRoutes, strings.TrimPrefix(u.Path, "/api/v1/"))
+		if route < 0 {
+			f.Fatalf("%s is not a fleet API route", c.path)
+		}
+		q := u.Query()
+		f.Add(c.method, uint8(route), c.body, q.Get("since"), q.Get("limit"), "mallory")
+	}
+	workloads, alerts := uint8(slices.Index(apiRoutes, "workloads")), uint8(slices.Index(apiRoutes, "alerts"))
+	f.Add(http.MethodPost, workloads, `{"tenant":"t","kind":"miner","threads":3,"throttle":0.5}`, "", "", "")
+	f.Add(http.MethodPost, workloads, `{"tenant":"t","kind":"program","program":"xmr-isa","ips":1000000}`, "", "", "")
+	f.Add(http.MethodPost, workloads, `{"tenant":"t","kind":"miner","machine":-1,"pin":true}`, "", "", "")
+	f.Add(http.MethodPost, workloads, `{}`, "", "", "")
+	f.Add(http.MethodGet, alerts, "", "0", "10", "mallory")
+	f.Add(http.MethodGet, alerts, "", "1", "1", "t")
+	f.Add(http.MethodGet, alerts, "", "18446744073709551615", "-1", "")
+	f.Add(http.MethodGet, alerts, "", "9223372036854775808", "x", "acme")
 
 	cfg := testConfig(2)
 	cfg.AlertRetention = 2
@@ -222,14 +304,22 @@ func FuzzAPI(f *testing.F) {
 	}
 	queries := stream.Handler()
 
-	f.Fuzz(func(t *testing.T, body, since, limit, tenant string) {
-		sub, err := New(testConfig(2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireAPIAnswer(t, sub.Handler(), httptest.NewRequest(http.MethodPost, "/api/v1/workloads", strings.NewReader(body)))
+	f.Fuzz(func(t *testing.T, method string, route uint8, body, since, limit, tenant string) {
+		path := "/api/v1/" + apiRoutes[int(route)%len(apiRoutes)]
 		q := url.Values{"since": {since}, "limit": {limit}, "tenant": {tenant}}
-		requireAPIAnswer(t, queries, httptest.NewRequest(http.MethodGet, "/api/v1/alerts?"+q.Encode(), nil))
+		req, err := http.NewRequest(method, path+"?"+q.Encode(), strings.NewReader(body))
+		if err != nil {
+			t.Skip("not an HTTP method token:", err)
+		}
+		h := queries
+		if path == "/api/v1/workloads" {
+			sub, err := New(testConfig(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			h = sub.Handler()
+		}
+		requireAPIAnswer(t, h, req)
 	})
 }
 

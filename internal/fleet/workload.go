@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -26,8 +27,8 @@ type WorkloadSpec struct {
 	Tenant string `json:"tenant"`
 	// Kind is KindApp, KindMiner, or KindProgram.
 	Kind string `json:"kind"`
-	// Machine pins placement to a machine ID; -1 (or omitted via
-	// Machine=0 with Pin=false... see Pin) lets the fleet place.
+	// Machine is the machine ID to place on. It is read only when Pin is
+	// set; unpinned submissions ignore it.
 	Machine int `json:"machine"`
 	// Pin, when true, places on exactly Machine instead of the
 	// least-loaded member.
@@ -58,6 +59,17 @@ type WorkloadSpec struct {
 // task on the member machine, so an unbounded count from the API would
 // let one submission spawn arbitrarily many.
 const maxMinerThreads = 256
+
+// maxPendingSubmissions bounds the deferred-submission queue: submissions
+// made while a round runs wait there for the next barrier, so without a
+// cap a client could grow it for as long as one round lasts.
+const maxPendingSubmissions = 1024
+
+// ErrSubmitBacklog is returned by Submit when the fleet is mid-round and
+// maxPendingSubmissions submissions already wait for the next barrier.
+// The API answers it with 429; the submission may be retried once the
+// round ends.
+var ErrSubmitBacklog = errors.New("fleet: deferred-submission queue full; retry after the round barrier")
 
 // Placement reports where a submission landed.
 type Placement struct {
@@ -140,7 +152,8 @@ func (f *Fleet) staticProfile(name string) (gsa.StaticProfile, bool) {
 // immediately (fleet quiescent) or at the next round barrier (fleet
 // running). Submissions made while the fleet is quiescent are covered by
 // the fleet's determinism guarantee; mid-run submissions land at a
-// barrier whose position depends on wall-clock timing.
+// barrier whose position depends on wall-clock timing, and are refused
+// with ErrSubmitBacklog once maxPendingSubmissions of them wait there.
 func (f *Fleet) Submit(spec WorkloadSpec) (Placement, error) {
 	if spec.Tenant == "" {
 		return Placement{}, fmt.Errorf("fleet: submission needs a tenant")
@@ -173,6 +186,9 @@ func (f *Fleet) Submit(spec WorkloadSpec) (Placement, error) {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if f.running && len(f.pendingSub) >= maxPendingSubmissions {
+		return Placement{}, ErrSubmitBacklog
+	}
 	mem, err := f.pickLocked(spec)
 	if err != nil {
 		return Placement{}, err

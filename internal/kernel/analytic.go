@@ -43,9 +43,9 @@ func (k *Kernel) FastForward(d time.Duration) bool {
 // field by field.
 //
 // It returns ok = false — leaving all state untouched — when the span
-// needs per-quantum simulation (ISA work queued, an oversubscribed plan, a
-// machine-local metrics registry whose per-quantum observations would be
-// skipped, or a parked deferred merge). Callers fall back to RunTo.
+// needs per-quantum simulation (ISA work queued, an oversubscribed plan, or
+// a machine-local metrics registry whose per-quantum observations would be
+// skipped). Callers fall back to RunTo.
 //
 // On success horizon is the start of the next quantum that does anything
 // beyond commutative accounting: the first monitoring-window crossing of
@@ -64,11 +64,7 @@ func (k *Kernel) FastForwardTo(end time.Duration) (horizon time.Duration, ok boo
 	horizon, ok = k.fastForwardLocked(end)
 	fired := k.alerts[base:len(k.alerts):len(k.alerts)]
 	k.mu.Unlock()
-	if k.onAlert != nil {
-		for _, a := range fired {
-			k.onAlert(a)
-		}
-	}
+	k.deliver(fired)
 	return horizon, ok
 }
 
@@ -78,9 +74,6 @@ func (k *Kernel) FastForwardTo(end time.Duration) (horizon time.Duration, ok boo
 //
 //cryptojack:locked
 func (k *Kernel) fastForwardLocked(end time.Duration) (time.Duration, bool) {
-	if k.pendingMerge {
-		return k.now, false
-	}
 	// Pre-scan the runnable set: every runnable task must be an analytic
 	// rate model for the plan to be stationary across the span.
 	idle := true
@@ -129,10 +122,10 @@ func (k *Kernel) fastForwardLocked(end time.Duration) (time.Duration, bool) {
 	// build this exact plan. Between window crossings the only observable
 	// per-quantum effects are commutative (sample count, cumulative RSX
 	// adds — checkWindow returns before reading anything), so those quanta
-	// batch into single RunSlices calls; each crossing quantum runs through
-	// the exact serial path so window resets, threshold checks, and alert
-	// ordering (including multi-task thread groups and session
-	// aggregation) match per-quantum simulation bit for bit.
+	// batch into single RunSlices calls; each crossing quantum runs the
+	// quantum's own execute and accountPlan so window resets, threshold
+	// checks, and alert ordering (including multi-task thread groups and
+	// session aggregation) match per-quantum simulation bit for bit.
 	for remaining := n; remaining > 0; {
 		if batch := min(remaining, k.quietQuanta()); batch > 0 {
 			k.runPlanBatch(batch)
@@ -141,8 +134,8 @@ func (k *Kernel) fastForwardLocked(end time.Duration) (time.Duration, bool) {
 			continue
 		}
 		// Crossing quantum: simulate it exactly.
-		k.runPlanSerial()
-		k.accountPlan(k.plan, k.deltas, k.now+ts)
+		k.execute()
+		k.accountPlan()
 		k.now += ts
 		remaining--
 	}

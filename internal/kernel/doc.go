@@ -5,9 +5,12 @@
 // procfs-style runtime tunables, per-process monitoring windows, and alert
 // delivery.
 //
-// The scheduler executes each quantum either serially or on per-core
-// worker goroutines (Config.Parallel) with a deterministic merge, and —
-// when Config.Obs is non-nil — instruments every phase: quantum counts,
+// Every quantum takes one path: plan, execute, merge, deliver alerts. The
+// execute phase runs core by core on the scheduler goroutine, or through a
+// work-stealing pool (Config.Parallel); either way the merge applies the
+// accounting after the execute barrier in plan order, and the quantum's
+// alerts reach OnAlert before the next quantum starts. When Config.Obs is
+// non-nil the kernel instruments every phase: quantum counts,
 // execute/merge timings, per-core busy/idle, RSX samples per switch,
 // window statistics, and threshold-crossing-to-callback alert latency.
 // The registry renders through the ProcStats procfs file and everything in

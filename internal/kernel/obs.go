@@ -39,7 +39,6 @@ type kmetrics struct {
 	execNs         *obs.Counter
 	mergeWaitNs    *obs.Counter
 	mergeNs        *obs.Counter
-	mergeOverlapNs *obs.Counter
 
 	// Per-core execute-phase breakdown.
 	coreBusyNs  []*obs.Counter
@@ -103,8 +102,6 @@ func newKMetrics(reg *obs.Registry, cores int) *kmetrics {
 			Unit: "ns", Help: "host time the scheduler blocked at the merge barrier"}),
 		mergeNs: reg.Counter(obs.Desc{Name: "sched_merge_ns_total", Layer: obs.LayerKernel,
 			Unit: "ns", Help: "host time in the deterministic merge phase"}),
-		mergeOverlapNs: reg.Counter(obs.Desc{Name: "sched_merge_overlap_ns_total", Layer: obs.LayerKernel,
-			Unit: "ns", Help: "merge-phase host time hidden inside the next quantum's execute window"}),
 		bbLen: reg.Histogram(obs.Desc{Name: "bb_insts_per_block", Layer: obs.LayerCPU,
 			Unit: "instructions", Help: "instructions retired per basic-block dispatch (fast engine)"}, cpu.BBLenBounds),
 		retiredPerQuantum: reg.Histogram(obs.Desc{Name: "sched_retired_per_quantum", Layer: obs.LayerKernel,

@@ -75,6 +75,21 @@ type snapshot struct {
 	RSX     []uint64 // per-task thread-group totals, task order
 	Sess    []uint64 // per-task session totals, task order
 	Exited  []bool
+	Calls   []alertCall // OnAlert deliveries, when recorded
+}
+
+// alertCall is one OnAlert delivery and the clock the callback read.
+type alertCall struct {
+	Alert kernel.Alert
+	Now   time.Duration
+}
+
+// recordCalls registers an OnAlert callback that appends each delivery,
+// with the clock it observed, to *calls.
+func recordCalls(k *kernel.Kernel, calls *[]alertCall) {
+	k.OnAlert(func(a kernel.Alert) {
+		*calls = append(*calls, alertCall{Alert: a, Now: k.Now()})
+	})
 }
 
 func snap(k *kernel.Kernel) snapshot {
@@ -107,11 +122,15 @@ func requireIdentical(t *testing.T, serial, parallel snapshot) {
 	if !reflect.DeepEqual(serial.Exited, parallel.Exited) {
 		t.Errorf("exit states differ:\nserial:   %v\nparallel: %v", serial.Exited, parallel.Exited)
 	}
+	if !reflect.DeepEqual(serial.Calls, parallel.Calls) {
+		t.Errorf("OnAlert deliveries differ:\nserial:   %+v\nparallel: %+v", serial.Calls, parallel.Calls)
+	}
 }
 
 // TestParallelMatchesSerial is the differential proof: the same mixed
 // scenario (apps + miner threads + ISA program) run serial and parallel
-// must yield byte-identical alert streams and equal counter totals.
+// must yield byte-identical alert streams, equal counter totals, and the
+// same OnAlert deliveries at the same clock.
 func TestParallelMatchesSerial(t *testing.T) {
 	run := func(parallel bool) snapshot {
 		k := newTestKernel(t, parallel)
@@ -119,8 +138,12 @@ func TestParallelMatchesSerial(t *testing.T) {
 		if got := k.ParallelActive(); got != parallel {
 			t.Fatalf("ParallelActive() = %v, want %v", got, parallel)
 		}
+		var calls []alertCall
+		recordCalls(k, &calls)
 		k.Run(5 * time.Second)
-		return snap(k)
+		s := snap(k)
+		s.Calls = calls
+		return s
 	}
 	serial := run(false)
 	par := run(true)
@@ -212,6 +235,33 @@ func TestParallelTaskExitsMidRun(t *testing.T) {
 	}
 	if want := uint64(3 * 500); serial.RSX[0] != want {
 		t.Errorf("short-lived task RSX = %d, want %d (no lost or extra slices)", serial.RSX[0], want)
+	}
+}
+
+// TestAlertCallbackTiming: OnAlert runs after the quantum that raised the
+// alert and before the next one starts, so in both modes a callback reads
+// the alert's own context-switch time from Now, and every alert is
+// delivered exactly once.
+func TestAlertCallbackTiming(t *testing.T) {
+	for _, parallel := range []bool{false, true} {
+		k := newTestKernel(t, parallel)
+		miner.SpawnMiner(k, miner.Monero, 0, 4, 1000)
+		var calls []alertCall
+		recordCalls(k, &calls)
+		k.Run(7 * time.Second)
+		if len(calls) != 3 {
+			t.Fatalf("parallel=%v: %d callbacks, want 3 (one per 2 s window of a full-speed miner)", parallel, len(calls))
+		}
+		var delivered []kernel.Alert
+		for i, c := range calls {
+			if c.Now != c.Alert.Time {
+				t.Errorf("parallel=%v: callback %d for the alert at %v read Now() = %v", parallel, i, c.Alert.Time, c.Now)
+			}
+			delivered = append(delivered, c.Alert)
+		}
+		if got := k.Alerts(); !reflect.DeepEqual(delivered, got) {
+			t.Errorf("parallel=%v: delivered %+v, raised %+v", parallel, delivered, got)
+		}
 	}
 }
 
@@ -337,10 +387,8 @@ func BenchmarkParallelQuantum(b *testing.B) {
 			}
 			quanta, _ := reg.Value("sched_quanta_total", "")
 			wait, _ := reg.Value("sched_merge_wait_ns_total", "")
-			overlap, _ := reg.Value("sched_merge_overlap_ns_total", "")
 			if quanta > 0 {
 				b.ReportMetric(wait/quanta/1e3, "merge_wait_us/q")
-				b.ReportMetric(overlap/quanta/1e3, "merge_overlap_us/q")
 			}
 		})
 	}

@@ -60,16 +60,15 @@ type Config struct {
 	SampleCost uint64
 	// Parallel executes each quantum's packed slices through a
 	// work-stealing pool: persistent thief goroutines plus the scheduler
-	// goroutine itself claim whole cores off a shared cursor, and the
-	// deterministic accounting of quantum N overlaps the execute phase of
-	// quantum N+1 — results are bit-identical to serial execution (the
-	// deferred accounting is flushed before Run returns). The thief pool
-	// is sized to the host's spare hardware parallelism, so on a
-	// single-hardware-thread host the quantum degrades to a lean serial
-	// sweep with no goroutine round-trips. The kernel silently falls back
-	// to serial when the machine is single-core, runs the detailed engine
-	// (cross-core MESI/L2 state makes interleaving semantically
-	// meaningful), or has a retirement observer attached.
+	// goroutine itself claim whole cores off a shared cursor. Accounting
+	// still runs after the execute barrier in plan order, so results are
+	// bit-identical to serial execution. The thief pool is sized to the
+	// host's spare hardware parallelism, so on a single-hardware-thread
+	// host the quantum degrades to a lean sweep with no goroutine
+	// round-trips. The kernel silently falls back to serial when the
+	// machine is single-core, runs the detailed engine (cross-core MESI/L2
+	// state makes interleaving semantically meaningful), or has a
+	// retirement observer attached.
 	Parallel bool
 	// Obs is the metrics registry the kernel instruments itself into:
 	// scheduler phase timings, per-core busy/idle split, TLB and
@@ -107,12 +106,14 @@ type placement struct {
 // copy-on-read accessors (Alerts, Tasks, Samples, Now, TopRSX, ProcFS
 // reads) are safe to call concurrently with a running simulation: the
 // scheduler takes mu for the plan→execute→merge span of every quantum and
-// the accessors take the same lock.
+// the accessors take the same lock. Serial and parallel quanta differ only
+// in which goroutines run each core's slices; the merge and the alert
+// delivery that follows it are the same path in both modes.
 //
 // Classification (statecheck): the snapshot surface is the machine, task,
-// window, and virtual-clock state; quantum scratch and the deferred-merge
-// double buffer are reconstructible between quanta (derived); the
-// work-stealing pool and observability handles are host-side only.
+// window, and virtual-clock state; quantum scratch is reconstructible
+// between quanta (derived); the work-stealing pool and observability
+// handles are host-side only.
 //
 //cryptojack:state
 type Kernel struct {
@@ -144,27 +145,19 @@ type Kernel struct {
 	mu sync.Mutex // cryptojack:derived
 
 	// Quantum scratch state, reused to keep the scheduler allocation-free.
-	plan   []placement // cryptojack:derived
-	deltas []uint64    // cryptojack:derived -- per-plan-entry RSX deltas measured during execution
+	plan []placement // cryptojack:derived
+	// coreStart[c] is the index of core c's first slice in plan: buildPlan
+	// packs core by core, so core c runs plan[coreStart[c]:coreStart[c+1]].
+	coreStart []int    // cryptojack:derived
+	deltas    []uint64 // cryptojack:derived -- per-plan-entry RSX deltas measured during execution
 	// ffScratch snapshots the ready queue while fast-forward eligibility is
 	// probed, so an ineligible probe can restore the queue exactly.
 	ffScratch []*Task // cryptojack:derived
 
-	// Deferred-merge double buffer: in parallel mode the accounting for
-	// quantum N (window checks, alerts, samples) runs overlapped with the
-	// execute phase of quantum N+1, so the previous quantum's plan, deltas
-	// and context-switch time are parked here until then. pendingMerge is
-	// cleared by the overlap step or by flushPending before Run returns,
-	// so the buffer is empty at every snapshot boundary (derived).
-	prevPlan     []placement   // cryptojack:derived
-	prevDeltas   []uint64      // cryptojack:derived
-	prevSwitch   time.Duration // cryptojack:derived
-	pendingMerge bool          // cryptojack:derived
-
 	// Work-stealing execute phase: claim hands out core indices; thieves
 	// and the scheduler goroutine each take a core at a time and run its
 	// packed slices. workers is nil when serial; parallelRun marks an
-	// active pool for quantum(). Host-side execution machinery: the pool
+	// active pool for execute. Host-side execution machinery: the pool
 	// shape never influences results (bit-identical to serial).
 	claim       atomic.Int64   // cryptojack:hostonly
 	workers     []*stealWorker // cryptojack:hostonly
@@ -185,11 +178,12 @@ func New(machine *cpu.CPU, cfg Config) *Kernel {
 		cfg.Tunables = DefaultTunables()
 	}
 	k := &Kernel{
-		machine:  machine,
-		cfg:      cfg,
-		tunables: cfg.Tunables,
-		nextPid:  1000,
-		coreLast: make([]uint64, machine.Cores()),
+		machine:   machine,
+		cfg:       cfg,
+		tunables:  cfg.Tunables,
+		nextPid:   1000,
+		coreLast:  make([]uint64, machine.Cores()),
+		coreStart: make([]int, machine.Cores()+1),
 	}
 	if cfg.Obs != nil {
 		k.om = newKMetrics(cfg.Obs, machine.Cores())
@@ -234,7 +228,8 @@ func (k *Kernel) Alerts() []Alert {
 }
 
 // OnAlert registers a callback invoked synchronously for each alert, in
-// alert order, after the quantum that raised it completes.
+// alert order, after the quantum that raised it completes: Now() inside
+// the callback is the alert's Time.
 func (k *Kernel) OnAlert(fn func(Alert)) { k.onAlert = fn }
 
 // Samples returns how many context-switch housekeeping operations ran.
@@ -357,34 +352,32 @@ func (k *Kernel) stealCores() {
 	}
 }
 
-// runCoreSlices runs every planned slice of one core, in pack order,
-// sampling the core's RSX counter after each slice exactly as the serial
-// scheduler hook does. It touches only per-core state: the core, its
-// counter bank, its coreLast entry, its deltas slots, and (when
-// instrumented) its coreBusy scratch slot — so distinct cores run
-// concurrently without synchronization.
-func (k *Kernel) runCoreSlices(coreID int) {
-	core := k.machine.Core(coreID)
-	last := k.coreLast[coreID]
+// runCoreSlices runs core c's run of the plan, in pack order, sampling
+// the core's RSX counter after each slice (the paper's context-switch
+// read). It is the only routine that executes planned slices: the serial
+// sweep, the work-stealing pool and fast-forward's crossing quanta all
+// call it. It touches only per-core state: the core, its counter bank,
+// its coreLast entry, its deltas slots, and (when instrumented) its
+// coreBusy scratch slot — so distinct cores run concurrently without
+// synchronization.
+func (k *Kernel) runCoreSlices(c int) {
+	core := k.machine.Core(c)
+	last := k.coreLast[c]
 	var t0 time.Time
 	if k.om != nil {
 		//lint:ignore determinism host wall clock feeds the busy-time metric only, never simulation state
 		t0 = time.Now()
 	}
-	for i := range k.plan {
-		p := &k.plan[i]
-		if p.core != coreID {
-			continue
-		}
-		p.task.workload.RunSlice(core, k.cfg.TimeSlice)
+	for i := k.coreStart[c]; i < k.coreStart[c+1]; i++ {
+		k.plan[i].task.workload.RunSlice(core, k.cfg.TimeSlice)
 		cur := core.Counters().RSX()
 		k.deltas[i] = cur - last
 		last = cur
 	}
 	if k.om != nil {
-		k.om.coreBusy[coreID] = time.Since(t0)
+		k.om.coreBusy[c] = time.Since(t0)
 	}
-	k.coreLast[coreID] = last
+	k.coreLast[c] = last
 }
 
 // startWorkers spins up the thief pool if the parallel path is eligible,
@@ -423,64 +416,46 @@ func (k *Kernel) Run(d time.Duration) { k.RunTo(k.Now() + d) }
 
 // RunTo advances the simulation to the first quantum boundary at or past
 // the absolute simulated time end, scheduling runnable tasks round-robin
-// across all cores in time-slice quanta. In parallel mode each quantum's
-// accounting is deferred and overlapped with the next quantum's execute
-// phase; the final quantum's deferred accounting is flushed before RunTo
-// returns, so callers always observe fully merged state.
+// across all cores in time-slice quanta.
 func (k *Kernel) RunTo(end time.Duration) {
 	stop := k.startWorkers()
 	defer stop()
 	for k.Now() < end {
-		k.quantum(false)
+		k.quantum()
 	}
-	k.flushPending()
 }
 
 // RunUntilAlert runs until the first alert or until d elapses; it reports
 // whether an alert fired. The check sits at the quantum barrier, so the
-// call returns on the exact quantum the alert fires, with the merge phase
-// complete — no alerts are lost or duplicated across the barrier. Because
-// the alert check must see each quantum's accounting before deciding
-// whether to continue, this path runs quanta in flush mode (no deferred
-// merge overlap).
+// call returns on the exact quantum the alert fires, with its accounting
+// complete — no alerts are lost or duplicated across the barrier.
 func (k *Kernel) RunUntilAlert(d time.Duration) bool {
 	stop := k.startWorkers()
 	defer stop()
 	end := k.Now() + d
-	fired := 0
 	for k.Now() < end {
-		fired += k.quantum(true)
-		if fired > 0 {
+		if k.quantum() > 0 {
 			return true
 		}
 	}
-	return fired > 0
+	return false
 }
 
 // quantum runs one time slice on every core in three phases:
 //
 //  1. plan: pick tasks for all cores (a task occupies at most one core);
 //  2. execute: run every planned slice and sample per-slice RSX deltas —
-//     either inline (serial) or via the work-stealing pool (parallel);
+//     core by core (serial) or via the work-stealing pool (parallel);
 //  3. merge: rebuild the ready queue, then apply the per-slice accounting
 //     (counter deltas, window checks, alerts) in plan order.
 //
 // Only phase 2 is concurrent, and it touches exclusively per-core state;
 // accounting always applies in the fixed plan order, so serial and
-// parallel execution produce bit-identical results.
-//
-// In parallel mode the accounting half of the merge is deferred: the
-// plan/deltas double buffer parks quantum N's accounting, which then runs
-// on the scheduler goroutine while the pool executes quantum N+1's slices
-// — hiding the accounting latency inside the execute window instead of
-// stalling the barrier. The ready-queue rebuild cannot be deferred (the
-// next plan needs it) but is cheap: it only inspects workload completion.
-// flush forces immediate accounting; RunUntilAlert needs it so the alert
-// decision and the alert-time invariant (last alert's Time equals Now at
-// return) hold at every quantum boundary.
+// parallel execution produce bit-identical results. The quantum's alerts
+// are delivered before it returns.
 //
 // It returns the number of alerts this quantum raised.
-func (k *Kernel) quantum(flush bool) int {
+func (k *Kernel) quantum() int {
 	k.mu.Lock()
 	base := len(k.alerts)
 	k.buildPlan()
@@ -490,109 +465,57 @@ func (k *Kernel) quantum(flush bool) int {
 		execStart = time.Now()
 		k.om.beginQuantum()
 	}
-	parallel := k.parallelRun
-	if parallel {
-		k.claim.Store(0)
-		k.workerWG.Add(len(k.workers))
-		for _, w := range k.workers {
-			w.start <- struct{}{}
-		}
-		if k.pendingMerge {
-			// Overlap: account the previous quantum while the pool runs
-			// this one. The two touch disjoint state — accounting reads
-			// prevPlan/prevDeltas and task window structures; the pool
-			// reads plan and writes deltas/per-core counters.
-			var t0 time.Time
-			if k.om != nil {
-				//lint:ignore determinism host wall clock feeds the merge-timing metrics only, never simulation state
-				t0 = time.Now()
-			}
-			k.accountPlan(k.prevPlan, k.prevDeltas, k.prevSwitch)
-			k.pendingMerge = false
-			if k.om != nil {
-				d := uint64(time.Since(t0))
-				k.om.mergeNs.Add(d)
-				k.om.mergeOverlapNs.Add(d)
-			}
-		}
-		k.stealCores()
-		var waitStart time.Time
-		if k.om != nil {
-			//lint:ignore determinism host wall clock feeds the barrier-wait metric only, never simulation state
-			waitStart = time.Now()
-		}
-		k.workerWG.Wait()
-		if k.om != nil {
-			k.om.mergeWaitNs.Add(uint64(time.Since(waitStart)))
-		}
-	} else {
-		if k.pendingMerge {
-			// Defensive: eligibility flipped between Runs with a merge
-			// still parked (e.g. an observer was attached). Settle it
-			// before the serial quantum.
-			k.accountPlan(k.prevPlan, k.prevDeltas, k.prevSwitch)
-			k.pendingMerge = false
-		}
-		k.runPlanSerial()
-	}
+	k.execute()
 	var mergeStart time.Time
 	if k.om != nil {
 		//lint:ignore determinism host wall clock feeds the phase-timing metrics only, never simulation state
 		mergeStart = time.Now()
 	}
-	switchTime := k.now + k.cfg.TimeSlice
 	k.rebuildRunq()
-	if parallel && !flush {
-		// Park this quantum's accounting; the next quantum's execute
-		// phase will hide it. Buffers swap so the pool never writes into
-		// a plan the deferred accounting still reads.
-		k.plan, k.prevPlan = k.prevPlan[:0], k.plan
-		k.deltas, k.prevDeltas = k.prevDeltas[:0], k.deltas
-		k.prevSwitch = switchTime
-		k.pendingMerge = true
-	} else {
-		k.accountPlan(k.plan, k.deltas, switchTime)
-	}
+	k.accountPlan()
 	if k.om != nil {
-		k.om.observeQuantum(k, parallel, mergeStart.Sub(execStart), time.Since(mergeStart))
+		k.om.observeQuantum(k, k.parallelRun, mergeStart.Sub(execStart), time.Since(mergeStart))
 	}
 	k.now += k.cfg.TimeSlice
 	fired := k.alerts[base:len(k.alerts):len(k.alerts)]
 	k.mu.Unlock()
-	// Callbacks run outside the lock so they may call the accessors.
-	if k.onAlert != nil {
-		for _, a := range fired {
-			k.onAlert(a)
-		}
-	}
-	if k.om != nil {
-		k.om.observeAlertLatency()
-	}
+	k.deliver(fired)
 	return len(fired)
 }
 
-// flushPending settles a parked deferred merge, delivering any alerts it
-// raises. Run calls it after its final quantum so callers never observe
-// half-merged state; it is a no-op when nothing is parked.
-func (k *Kernel) flushPending() {
-	k.mu.Lock()
-	if !k.pendingMerge {
-		k.mu.Unlock()
+// execute is the execute phase: every core's run of the plan through
+// runCoreSlices, core by core on the calling goroutine (skipping cores
+// with nothing planned), or claimed off the shared cursor by the
+// work-stealing pool when one is running.
+func (k *Kernel) execute() {
+	if !k.parallelRun {
+		for c := range k.machine.Cores() {
+			if k.coreStart[c] < k.coreStart[c+1] {
+				k.runCoreSlices(c)
+			}
+		}
 		return
 	}
-	base := len(k.alerts)
-	var t0 time.Time
-	if k.om != nil {
-		//lint:ignore determinism host wall clock feeds the merge-timing metrics only, never simulation state
-		t0 = time.Now()
+	k.claim.Store(0)
+	k.workerWG.Add(len(k.workers))
+	for _, w := range k.workers {
+		w.start <- struct{}{}
 	}
-	k.accountPlan(k.prevPlan, k.prevDeltas, k.prevSwitch)
-	k.pendingMerge = false
+	k.stealCores()
+	var waitStart time.Time
 	if k.om != nil {
-		k.om.mergeNs.Add(uint64(time.Since(t0)))
+		//lint:ignore determinism host wall clock feeds the barrier-wait metric only, never simulation state
+		waitStart = time.Now()
 	}
-	fired := k.alerts[base:len(k.alerts):len(k.alerts)]
-	k.mu.Unlock()
+	k.workerWG.Wait()
+	if k.om != nil {
+		k.om.mergeWaitNs.Add(uint64(time.Since(waitStart)))
+	}
+}
+
+// deliver runs the OnAlert callback for each alert of fired, in order.
+// Callers release k.mu first so callbacks may call the accessors.
+func (k *Kernel) deliver(fired []Alert) {
 	if k.onAlert != nil {
 		for _, a := range fired {
 			k.onAlert(a)
@@ -614,6 +537,7 @@ func (k *Kernel) buildPlan() {
 	var pending *Task // task that did not fit the previous core
 
 	for core := 0; core < k.machine.Cores(); core++ {
+		k.coreStart[core] = len(k.plan)
 		budget := 1.0
 		for budget > 0.001 {
 			task := pending
@@ -635,6 +559,7 @@ func (k *Kernel) buildPlan() {
 			budget -= share
 		}
 	}
+	k.coreStart[k.machine.Cores()] = len(k.plan)
 	if pending != nil {
 		// Return the unpacked task to the queue head. nextRunnable consumed
 		// at least one slot to produce it, so the slot left of the cursor is
@@ -646,27 +571,6 @@ func (k *Kernel) buildPlan() {
 		k.deltas = make([]uint64, len(k.plan))
 	}
 	k.deltas = k.deltas[:len(k.plan)]
-}
-
-// runPlanSerial is the serial execute phase: every planned slice runs
-// inline, with the same per-slice counter sampling the workers perform.
-func (k *Kernel) runPlanSerial() {
-	for i := range k.plan {
-		p := &k.plan[i]
-		core := k.machine.Core(p.core)
-		var t0 time.Time
-		if k.om != nil {
-			//lint:ignore determinism host wall clock feeds the busy-time metric only, never simulation state
-			t0 = time.Now()
-		}
-		p.task.workload.RunSlice(core, k.cfg.TimeSlice)
-		if k.om != nil {
-			k.om.coreBusy[p.core] += time.Since(t0)
-		}
-		cur := core.Counters().RSX()
-		k.deltas[i] = cur - k.coreLast[p.core]
-		k.coreLast[p.core] = cur
-	}
 }
 
 // nextRunnable pops the next non-exited task from the ready queue.
@@ -684,11 +588,8 @@ func (k *Kernel) nextRunnable() *Task {
 }
 
 // rebuildRunq is the scheduling half of the merge: for every slice in
-// plan order it retires finished workloads and requeues the rest. It must
-// run before the next plan is built, but it is independent of the
-// accounting half — Task.exit only flips the exited flag and thread
-// counts, neither of which account reads — so the accounting for the same
-// plan can be deferred past it without changing any observable result.
+// plan order it retires finished workloads and requeues the rest, so the
+// next plan sees the updated queue.
 //
 //cryptojack:locked
 func (k *Kernel) rebuildRunq() {
@@ -711,15 +612,15 @@ func (k *Kernel) rebuildRunq() {
 // accountPlan is the deterministic accounting half of the merge (the
 // paper's Figure 3 step 3 housekeeping, decoupled from execution): for
 // every slice in plan order it applies the sampled RSX delta to the shared
-// tgid structure and performs the window check. switchTime is the
-// simulated context-switch instant of the quantum the plan belongs to —
-// passed explicitly because in deferred mode k.now has already advanced
-// past it. Alerts land on k.alerts; callers slice off their batch.
+// tgid structure and performs the window check at the quantum's
+// context-switch instant, now+TimeSlice. Alerts land on k.alerts; callers
+// slice off their batch.
 //
 //cryptojack:locked
-func (k *Kernel) accountPlan(plan []placement, deltas []uint64, switchTime time.Duration) {
-	for i := range plan {
-		k.account(plan[i].task, deltas[i], switchTime)
+func (k *Kernel) accountPlan() {
+	switchTime := k.now + k.cfg.TimeSlice
+	for i := range k.plan {
+		k.account(k.plan[i].task, k.deltas[i], switchTime)
 	}
 }
 
