@@ -1,11 +1,14 @@
 package darkarts_test
 
 import (
+	"fmt"
 	"testing"
+	"time"
 
 	"darkarts/internal/cpu"
 	"darkarts/internal/experiments"
 	"darkarts/internal/isa"
+	"darkarts/internal/kernel"
 	"darkarts/internal/miner"
 	"darkarts/internal/workload"
 )
@@ -393,5 +396,43 @@ func BenchmarkCryptoNightLite(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cn.HashHeader(header)
+	}
+}
+
+// BenchmarkRateSlices measures the rate-model slice routine that
+// fast-forward replays: one RunSlices call of n 4 ms slices per
+// iteration, on a Table II app and on one thread of a 4-thread Monero
+// miner, with characterization off as on every fleet machine. n=1 is the
+// per-quantum path (RunSlice); n=15000 is a minute-scale fast-forward
+// batch.
+func BenchmarkRateSlices(b *testing.B) {
+	apps := workload.TableIIApps()
+	for _, wl := range []struct {
+		name string
+		w    kernel.AnalyticWorkload
+	}{
+		{"app", workload.NewAppWorkload(apps[4])},
+		{"monero", miner.NewWorkload(miner.Monero, 0, 4, 1)},
+	} {
+		for _, n := range []int{1, 15000} {
+			b.Run(fmt.Sprintf("%s/n=%d", wl.name, n), func(b *testing.B) {
+				cfg := cpu.DefaultConfig()
+				cfg.Cores = 1
+				machine, err := cpu.New(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				core := machine.Core(0)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if n == 1 {
+						wl.w.RunSlice(core, 4*time.Millisecond)
+					} else {
+						wl.w.RunSlices(core, 4*time.Millisecond, n)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/slice")
+			})
+		}
 	}
 }

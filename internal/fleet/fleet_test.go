@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -221,6 +222,7 @@ func TestSubmitValidation(t *testing.T) {
 		{Tenant: "t", Kind: KindApp, App: "NoSuchApp"},                    // unknown app
 		{Tenant: "t", Kind: KindMiner, Coin: "dogecoin"},                  // unknown coin
 		{Tenant: "t", Kind: KindMiner, Throttle: 1.5},                     // throttle out of range
+		{Tenant: "t", Kind: KindMiner, Throttle: math.NaN()},              // NaN throttle (JSON cannot carry one)
 		{Tenant: "t", Kind: KindProgram, Program: "md5"},                  // not in catalog
 		{Tenant: "t", Kind: KindApp, App: "Slack", Machine: 9, Pin: true}, // no such machine
 	}

@@ -227,7 +227,7 @@ func (f *Fleet) validate(spec WorkloadSpec) error {
 		default:
 			return fmt.Errorf("fleet: unknown coin %q", spec.Coin)
 		}
-		if spec.Throttle < 0 || spec.Throttle >= 1 {
+		if !(spec.Throttle >= 0 && spec.Throttle < 1) { // NaN fails too
 			return fmt.Errorf("fleet: miner throttle %v outside [0,1)", spec.Throttle)
 		}
 		if spec.Threads > maxMinerThreads {

@@ -2,9 +2,11 @@ package kernel
 
 import (
 	"math"
+	"math/rand"
 	"time"
 
 	"darkarts/internal/cpu"
+	"darkarts/internal/isa"
 )
 
 // AnalyticWorkload is a Workload whose effect on the machine can be
@@ -14,12 +16,98 @@ import (
 // d) calls. Implementations must also be perpetual and steady while
 // queued: Done stays false and the slice share stays constant, so the
 // scheduler's packing decision cannot change across the advanced span.
-// The rate models (internal/workload, internal/miner) qualify; ISA-backed
-// workloads execute real instructions and do not.
+// The rate models (internal/workload, internal/miner) qualify by
+// construction: their RunSlice is RunSlices(core, d, 1) and both run
+// RunRateSlices, whose stream their golden tests pin. ISA-backed
+// workloads execute real instructions and do not qualify.
 type AnalyticWorkload interface {
 	Workload
 	// RunSlices runs n consecutive slices of duration d on core.
 	RunSlices(core *cpu.Core, d time.Duration, n int)
+}
+
+// RateSlice is one slice of a rate-model workload at noise 1: the
+// instructions of each class it retires (per-hour rate × slice hours),
+// the coefficient of variation of its multiplicative noise, and the
+// amount it adds to the workload's progress total.
+type RateSlice struct {
+	Rotate, Shift, XOR, OR, Instr float64
+	Jitter                        float64
+	Progress                      float64
+}
+
+// rateChunk is how many noise draws RunRateSlices takes before the
+// call-free float pass that consumes them, so the pass keeps its
+// accumulators in registers. Small, because a single-slice call zeroes
+// the whole buffer.
+const rateChunk = 8
+
+// RunRateSlices charges core's counter bank with n consecutive slices of
+// s. Each slice draws z = rng.NormFloat64(), scales every class count by
+// noise = max(0, 1+s.Jitter·z) and truncates it to an integer: RSX gets
+// the sum of the classes core's tag table tags (rotate, shift, xor, or,
+// in that order), retired instructions and cycles get Instr, and the
+// characterization histogram, only when the bank keeps one, gets rotates
+// split over ROLI/RORI, shifts over SHLI/SHRI, and XOR and OR. When
+// progress is non-nil, s.Progress is added to it once per slice, in
+// order, since n·s.Progress would round differently. Each product is
+// converted explicitly so that no platform fuses it into an add.
+func RunRateSlices(core *cpu.Core, rng *rand.Rand, n int, s *RateSlice, progress *float64) {
+	bank := core.Counters()
+	tags := core.TagTable()
+	tagROL, tagSHL := tags.Tagged(isa.ROL), tags.Tagged(isa.SHL)
+	tagXOR, tagOR := tags.Tagged(isa.XOR), tags.Tagged(isa.OR)
+	var rsxT, instT uint64
+	var z [rateChunk]float64
+	for done := 0; done < n; done += rateChunk {
+		chunk := z[:min(n-done, rateChunk)]
+		for i := range chunk {
+			chunk[i] = rng.NormFloat64()
+		}
+		for i, zi := range chunk {
+			noise := 1 + float64(s.Jitter*zi)
+			if noise < 0 {
+				noise = 0
+			}
+			chunk[i] = noise
+			var rsx float64
+			if tagROL {
+				rsx += float64(s.Rotate * noise)
+			}
+			if tagSHL {
+				rsx += float64(s.Shift * noise)
+			}
+			if tagXOR {
+				rsx += float64(s.XOR * noise)
+			}
+			if tagOR {
+				rsx += float64(s.OR * noise)
+			}
+			rsxT += uint64(rsx)
+			instT += uint64(s.Instr * noise)
+		}
+		if bank.Characterizing() {
+			for _, noise := range chunk {
+				rot, sh := float64(s.Rotate*noise), float64(s.Shift*noise)
+				bank.AddOpCount(isa.ROLI, uint64(rot/2))
+				bank.AddOpCount(isa.RORI, uint64(rot-rot/2))
+				bank.AddOpCount(isa.SHLI, uint64(sh/2))
+				bank.AddOpCount(isa.SHRI, uint64(sh-sh/2))
+				bank.AddOpCount(isa.XOR, uint64(s.XOR*noise))
+				bank.AddOpCount(isa.OR, uint64(s.OR*noise))
+			}
+		}
+	}
+	bank.AddRSX(rsxT)
+	bank.AddRetired(instT)
+	bank.AddCycles(instT)
+	if progress != nil {
+		p := *progress
+		for i := 0; i < n; i++ {
+			p += s.Progress
+		}
+		*progress = p
+	}
 }
 
 // NoHorizon is the horizon of a kernel whose future quanta are all

@@ -15,4 +15,9 @@
 // window statistics, and threshold-crossing-to-callback alert latency.
 // The registry renders through the ProcStats procfs file and everything in
 // OBSERVABILITY.md.
+//
+// Rate-model workloads (the Table II apps in internal/workload, the Table
+// III miners in internal/miner) implement AnalyticWorkload on one shared
+// slice routine, RunRateSlices, so an idle or benign fleet machine can
+// fast-forward whole spans of quanta between monitoring-window crossings.
 package kernel

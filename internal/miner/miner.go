@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"darkarts/internal/cpu"
-	"darkarts/internal/isa"
 	"darkarts/internal/kernel"
 )
 
@@ -31,29 +30,38 @@ type CoinRates struct {
 	HashesPerSec  float64 // observed service hash rate (Figure 2: 647 H/s)
 }
 
-// Rates returns the calibrated rates for the coin.
+// coinRates holds each coin's calibrated rates, Monero first. Rates
+// copies from this table rather than building a literal: a struct built
+// field by field and then copied whole stalls on store forwarding, which
+// cost every single-slice RunSlice call about 10 ns.
+var coinRates = [2]CoinRates{
+	{
+		RotatePerHour: 83.1 * bil,
+		ShiftPerHour:  10.2 * bil,
+		XORPerHour:    248.3 * bil,
+		ORPerHour:     60 * bil,
+		InstrPerHour:  1800 * bil,
+		HashesPerSec:  647,
+	},
+	{
+		RotatePerHour: 27.9 * bil,
+		ShiftPerHour:  1200 * bil,
+		XORPerHour:    1800 * bil,
+		ORPerHour:     400 * bil,
+		InstrPerHour:  9000 * bil,
+		HashesPerSec:  30, // Sol/s
+	},
+}
+
+const bil = 1e9
+
+// Rates returns the calibrated rates for the coin (Monero for any coin
+// but Zcash).
 func Rates(c Coin) CoinRates {
-	const bil = 1e9
-	switch c {
-	case Zcash:
-		return CoinRates{
-			RotatePerHour: 27.9 * bil,
-			ShiftPerHour:  1200 * bil,
-			XORPerHour:    1800 * bil,
-			ORPerHour:     400 * bil,
-			InstrPerHour:  9000 * bil,
-			HashesPerSec:  30, // Sol/s
-		}
-	default: // Monero
-		return CoinRates{
-			RotatePerHour: 83.1 * bil,
-			ShiftPerHour:  10.2 * bil,
-			XORPerHour:    248.3 * bil,
-			ORPerHour:     60 * bil,
-			InstrPerHour:  1800 * bil,
-			HashesPerSec:  647,
-		}
+	if c == Zcash {
+		return coinRates[1]
 	}
+	return coinRates[0]
 }
 
 // RSXPerMinute returns the coin's full-speed RSX rate per minute (Monero:
@@ -89,7 +97,7 @@ func NewWorkload(coin Coin, throttle float64, threads int, seed int64) *Workload
 	if threads < 1 {
 		threads = 1
 	}
-	if throttle < 0 {
+	if !(throttle >= 0) { // NaN clamps to 0 too
 		throttle = 0
 	}
 	if throttle > 1 {
@@ -98,109 +106,26 @@ func NewWorkload(coin Coin, throttle float64, threads int, seed int64) *Workload
 	return &Workload{Coin: coin, Throttle: throttle, Threads: threads, rng: rand.New(rand.NewSource(seed))}
 }
 
-// RunSlice implements kernel.Workload: charge the core's counters with this
-// thread's share of the coin's calibrated instruction stream, scaled by the
-// duty cycle that throttling leaves.
-func (w *Workload) RunSlice(core *cpu.Core, d time.Duration) {
-	duty := 1 - w.Throttle
-	hours := d.Hours() * duty / float64(w.Threads)
-	r := Rates(w.Coin)
-	// Mining is steady: tiny jitter only.
-	noise := 1 + 0.02*w.rng.NormFloat64()
-	if noise < 0 {
-		noise = 0
-	}
-	rot := r.RotatePerHour * hours * noise
-	sh := r.ShiftPerHour * hours * noise
-	xr := r.XORPerHour * hours * noise
-	or := r.ORPerHour * hours * noise
+// RunSlice implements kernel.Workload.
+func (w *Workload) RunSlice(core *cpu.Core, d time.Duration) { w.RunSlices(core, d, 1) }
 
-	bank := core.Counters()
-	tags := core.TagTable()
-	var rsx float64
-	if tags.Tagged(isa.ROL) {
-		rsx += rot
-	}
-	if tags.Tagged(isa.SHL) {
-		rsx += sh
-	}
-	if tags.Tagged(isa.XOR) {
-		rsx += xr
-	}
-	if tags.Tagged(isa.OR) {
-		rsx += or
-	}
-	bank.AddRSX(uint64(rsx))
-	bank.AddRetired(uint64(r.InstrPerHour * hours * noise))
-	bank.AddCycles(uint64(r.InstrPerHour * hours * noise))
-	bank.AddOpCount(isa.ROLI, uint64(rot/2))
-	bank.AddOpCount(isa.RORI, uint64(rot-rot/2))
-	bank.AddOpCount(isa.SHLI, uint64(sh/2))
-	bank.AddOpCount(isa.SHRI, uint64(sh-sh/2))
-	bank.AddOpCount(isa.XOR, uint64(xr))
-	bank.AddOpCount(isa.OR, uint64(or))
-
-	w.HashesDone += r.HashesPerSec * d.Seconds() * duty / float64(w.Threads)
-}
-
-// RunSlices implements kernel.AnalyticWorkload: n consecutive slices in
-// one call. Per-slice arithmetic (jitter draw, float scaling, uint64
-// truncation, the HashesDone running sum) repeats exactly as RunSlice
-// performs it so state stays bit-identical; only the counter-bank adds
-// batch into one add per counter.
+// RunSlices implements kernel.AnalyticWorkload: charge the core's
+// counters with n slices of this thread's share of the coin's calibrated
+// instruction stream, scaled by the duty cycle that throttling leaves.
+// Mining is steady: tiny jitter only.
 func (w *Workload) RunSlices(core *cpu.Core, d time.Duration, n int) {
 	duty := 1 - w.Throttle
 	hours := d.Hours() * duty / float64(w.Threads)
 	r := Rates(w.Coin)
-	hashes := r.HashesPerSec * d.Seconds() * duty / float64(w.Threads)
-	tags := core.TagTable()
-	tagROL, tagSHL := tags.Tagged(isa.ROL), tags.Tagged(isa.SHL)
-	tagXOR, tagOR := tags.Tagged(isa.XOR), tags.Tagged(isa.OR)
-	var rsxT, instT, rolT, rorT, shlT, shrT, xorT, orT uint64
-	for i := 0; i < n; i++ {
-		noise := 1 + 0.02*w.rng.NormFloat64()
-		if noise < 0 {
-			noise = 0
-		}
-		rot := r.RotatePerHour * hours * noise
-		sh := r.ShiftPerHour * hours * noise
-		xr := r.XORPerHour * hours * noise
-		or := r.ORPerHour * hours * noise
-		var rsx float64
-		if tagROL {
-			rsx += rot
-		}
-		if tagSHL {
-			rsx += sh
-		}
-		if tagXOR {
-			rsx += xr
-		}
-		if tagOR {
-			rsx += or
-		}
-		rsxT += uint64(rsx)
-		instT += uint64(r.InstrPerHour * hours * noise)
-		rolT += uint64(rot / 2)
-		rorT += uint64(rot - rot/2)
-		shlT += uint64(sh / 2)
-		shrT += uint64(sh - sh/2)
-		xorT += uint64(xr)
-		orT += uint64(or)
-		// Running float sum, one term per slice, in slice order — float
-		// addition is not associative, so n*hashes would drift.
-		w.HashesDone += hashes
-	}
-	bank := core.Counters()
-	bank.AddRSX(rsxT)
-	bank.AddRetired(instT)
-	bank.AddCycles(instT)
-	bank.AddOpCount(isa.ROLI, rolT)
-	bank.AddOpCount(isa.RORI, rorT)
-	bank.AddOpCount(isa.SHLI, shlT)
-	bank.AddOpCount(isa.SHRI, shrT)
-	bank.AddOpCount(isa.XOR, xorT)
-	bank.AddOpCount(isa.OR, orT)
+	kernel.RunRateSlices(core, w.rng, n, &kernel.RateSlice{
+		Rotate:   r.RotatePerHour * hours,
+		Shift:    r.ShiftPerHour * hours,
+		XOR:      r.XORPerHour * hours,
+		OR:       r.ORPerHour * hours,
+		Instr:    r.InstrPerHour * hours,
+		Jitter:   0.02,
+		Progress: r.HashesPerSec * d.Seconds() * duty / float64(w.Threads),
+	}, &w.HashesDone)
 }
 
 // Done implements kernel.Workload: miners run until killed.

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"darkarts/internal/cpu"
-	"darkarts/internal/isa"
 	"darkarts/internal/kernel"
 )
 
@@ -155,100 +154,22 @@ func NewAppWorkload(p AppProfile) *AppWorkload {
 }
 
 // RunSlice implements kernel.Workload.
-func (w *AppWorkload) RunSlice(core *cpu.Core, d time.Duration) {
-	w.Elapsed += d
-	hours := d.Hours()
-	// Multiplicative burst noise, clamped non-negative.
-	noise := 1 + w.Profile.Burstiness*w.rng.NormFloat64()
-	if noise < 0 {
-		noise = 0
-	}
-	rot := w.Profile.RotatePerHour * hours * noise
-	sh := w.Profile.ShiftPerHour * hours * noise
-	xr := w.Profile.XORPerHour * hours * noise
-	or := w.Profile.ORPerHour * hours * noise
+func (w *AppWorkload) RunSlice(core *cpu.Core, d time.Duration) { w.RunSlices(core, d, 1) }
 
-	bank := core.Counters()
-	tags := core.TagTable()
-	var rsx float64
-	if tags.Tagged(isa.ROL) {
-		rsx += rot
-	}
-	if tags.Tagged(isa.SHL) {
-		rsx += sh
-	}
-	if tags.Tagged(isa.XOR) {
-		rsx += xr
-	}
-	if tags.Tagged(isa.OR) {
-		rsx += or
-	}
-	bank.AddRSX(uint64(rsx))
-	bank.AddRetired(uint64(w.Profile.InstrPerHour * hours * noise))
-	bank.AddCycles(uint64(w.Profile.InstrPerHour * hours * noise))
-	// Characterization histogram (split classes over representative ops).
-	bank.AddOpCount(isa.ROLI, uint64(rot/2))
-	bank.AddOpCount(isa.RORI, uint64(rot-rot/2))
-	bank.AddOpCount(isa.SHLI, uint64(sh/2))
-	bank.AddOpCount(isa.SHRI, uint64(sh-sh/2))
-	bank.AddOpCount(isa.XOR, uint64(xr))
-	bank.AddOpCount(isa.OR, uint64(or))
-}
-
-// RunSlices implements kernel.AnalyticWorkload: n consecutive slices in
-// one call. The per-slice arithmetic — noise draw, float scaling, uint64
-// truncation — repeats exactly as RunSlice performs it (same rng sequence,
-// same rounding), but the counter-bank adds accumulate locally and land as
-// one batched add per counter: bit-identical totals without n round trips
-// through the bank.
+// RunSlices implements kernel.AnalyticWorkload: n consecutive slices of
+// the profile's class rates under multiplicative burst noise.
 func (w *AppWorkload) RunSlices(core *cpu.Core, d time.Duration, n int) {
 	hours := d.Hours()
-	tags := core.TagTable()
-	tagROL, tagSHL := tags.Tagged(isa.ROL), tags.Tagged(isa.SHL)
-	tagXOR, tagOR := tags.Tagged(isa.XOR), tags.Tagged(isa.OR)
-	var rsxT, instT, rolT, rorT, shlT, shrT, xorT, orT uint64
-	for i := 0; i < n; i++ {
-		noise := 1 + w.Profile.Burstiness*w.rng.NormFloat64()
-		if noise < 0 {
-			noise = 0
-		}
-		rot := w.Profile.RotatePerHour * hours * noise
-		sh := w.Profile.ShiftPerHour * hours * noise
-		xr := w.Profile.XORPerHour * hours * noise
-		or := w.Profile.ORPerHour * hours * noise
-		var rsx float64
-		if tagROL {
-			rsx += rot
-		}
-		if tagSHL {
-			rsx += sh
-		}
-		if tagXOR {
-			rsx += xr
-		}
-		if tagOR {
-			rsx += or
-		}
-		rsxT += uint64(rsx)
-		instT += uint64(w.Profile.InstrPerHour * hours * noise)
-		rolT += uint64(rot / 2)
-		rorT += uint64(rot - rot/2)
-		shlT += uint64(sh / 2)
-		shrT += uint64(sh - sh/2)
-		xorT += uint64(xr)
-		orT += uint64(or)
-	}
+	p := &w.Profile
+	kernel.RunRateSlices(core, w.rng, n, &kernel.RateSlice{
+		Rotate: p.RotatePerHour * hours,
+		Shift:  p.ShiftPerHour * hours,
+		XOR:    p.XORPerHour * hours,
+		OR:     p.ORPerHour * hours,
+		Instr:  p.InstrPerHour * hours,
+		Jitter: p.Burstiness,
+	}, nil)
 	w.Elapsed += time.Duration(n) * d
-	bank := core.Counters()
-	bank.AddRSX(rsxT)
-	bank.AddRetired(instT)
-	bank.AddCycles(instT)
-	bank.AddOpCount(isa.ROLI, rolT)
-	bank.AddOpCount(isa.RORI, rorT)
-	bank.AddOpCount(isa.SHLI, shlT)
-	bank.AddOpCount(isa.SHRI, shrT)
-	bank.AddOpCount(isa.XOR, xorT)
-	bank.AddOpCount(isa.OR, orT)
 }
 
 // Done implements kernel.Workload: interactive apps run until the
