@@ -4,8 +4,9 @@
 // configurable fraction of machines), runs a span of simulated time, and
 // reports the service-level numbers that matter at scale — sustained
 // hosts per second, aggregate alert latency, per-worker busy fractions,
-// and the scheduler's steal and fast-forward totals — in the benchjson
-// schema so runs can be committed and diffed like benchmarks.
+// the scheduler's steal and fast-forward totals, and the live heap — in
+// the benchjson schema so runs can be committed and diffed like
+// benchmarks.
 //
 // Usage:
 //
@@ -24,6 +25,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"strings"
 	"time"
 
@@ -156,6 +158,11 @@ func report(f *fleet.Fleet, wall time.Duration, tasks int) []result {
 	eff := f.Config()
 	simSec := f.Now().Seconds()
 	wallSec := wall.Seconds()
+	// The live heap after a forced collection, measured as perfbench
+	// measures it: what the fleet holds, shared decoded blocks included.
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
 	m := map[string]float64{
 		"machines":         float64(eff.Machines),
 		"shards":           float64(eff.Shards),
@@ -163,6 +170,7 @@ func report(f *fleet.Fleet, wall time.Duration, tasks int) []result {
 		"sim_seconds":      simSec,
 		"wall_seconds":     wallSec,
 		"hosts_per_second": float64(eff.Machines) * simSec / wallSec,
+		"heap_live_mb":     float64(ms.HeapAlloc) / (1 << 20),
 	}
 	var alerts float64
 	snapshot := f.Obs().Snapshot()

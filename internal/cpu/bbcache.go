@@ -22,12 +22,16 @@ import (
 // the instruction loop and retires the whole block with one batched counter
 // update.
 //
+// A block is immutable once buildBlock returns, which is what lets the
+// fleet-scope cache (sharedbb.go) hand one block to every core by pointer.
 // Pre-counts are only valid for the tag table they were computed under, so
-// they are keyed by the table's generation number (microcode.TagTable.Gen):
-// a firmware update installs a table with a new generation and the next Run
-// call drops every cached block. Observer-attached cores and the detailed
-// engine bypass the cache entirely — they need exact per-instruction
-// retirement order, which block-batched accounting does not provide.
+// each program's block table is keyed by the table's generation number
+// (microcode.TagTable.Gen): after a firmware update installs a table with a
+// new generation, the next Run call of a program drops that program's table
+// and its blocks are fetched from the shared cache under the new generation
+// or decoded again. Observer-attached cores and the detailed engine bypass
+// the cache entirely — they need exact per-instruction retirement order,
+// which block-batched accounting does not provide.
 
 // maxBlockLen caps a cached block's instruction count. The per-block tag
 // set is a single uint64 bitmask (bit i = instruction i is tagged), which
@@ -64,8 +68,9 @@ type BBStats struct {
 	// block, a hit reuses one.
 	Hits   uint64
 	Misses uint64
-	// Invalidations counts whole-cache drops: tag-table generation changes
-	// plus capacity evictions (more than maxCachedProgs distinct programs).
+	// Invalidations counts per-program table drops after tag-table
+	// generation changes plus whole-cache capacity evictions (more than
+	// maxCachedProgs distinct programs).
 	Invalidations uint64
 	// LenCounts histograms the retired-instructions-per-block-execution
 	// distribution over the BBLenBounds buckets; LenSum is the total
@@ -83,6 +88,8 @@ type opCount struct {
 }
 
 // bbBlock is one decoded basic block with its pre-computed retire effects.
+// It is never written after buildBlock returns: cores and the shared cache
+// alias it freely.
 //
 //cryptojack:derived
 type bbBlock struct {
@@ -115,11 +122,10 @@ type blockCache struct {
 // branch target, or a slice boundary that split a block) simply decodes a
 // new block starting there; both stay cached.
 //
-// gen is the tag-table generation this program's pre-counts were computed
+// gen is the tag-table generation the blocks' pre-counts were computed
 // under. Generation is tracked per program so a firmware swap only touches
-// programs as they next run — a stale program is re-tagged in place
-// (pre-counts recomputed; decode is tag-independent) rather than the
-// whole cache being dropped.
+// programs as they next run: a stale program's table is replaced by a fresh
+// one, other programs keep theirs until they run.
 //
 //cryptojack:derived
 type progBlocks struct {
@@ -127,51 +133,23 @@ type progBlocks struct {
 	gen    uint64
 }
 
-// retag recomputes every cached block's RSX count and tag mask of one
-// program under a new tag table.
-//
-//cryptojack:coldpath
-func (pb *progBlocks) retag(tags *microcode.TagTable) {
-	for _, blk := range pb.blocks {
-		if blk == nil {
-			continue
-		}
-		blk.rsx = 0
-		blk.tagMask = 0
-		for i, in := range blk.ops {
-			if tags.Tagged(in.Op) {
-				blk.rsx++
-				blk.tagMask |= 1 << uint(i)
-			}
-		}
-	}
-	pb.gen = tags.Gen()
-}
-
 // BlockCacheStats returns a snapshot of the core's block-cache counters
 // (all zero when the cache is disabled or bypassed).
 func (c *Core) BlockCacheStats() BBStats { return c.bb.stats }
 
-// invalidate drops every cached block (capacity eviction). The
-// drop is counted only if there was something to drop, so cold starts do
-// not report an invalidation.
-//
-//cryptojack:coldpath
-func (bc *blockCache) invalidate() {
-	if len(bc.progs) > 0 {
-		bc.stats.Invalidations++
-	}
-	bc.progs = nil
-}
-
-// lookup returns the cached block table for prog, creating it on first
-// sight (keyed to the current tag-table generation) and applying the
-// capacity bound.
+// lookup installs a fresh block table for prog under generation gen, on
+// first sight or after a firmware swap left prog's table stale. Each drop
+// counts one invalidation: the stale program's table alone (other
+// programs keep theirs until they run), or the whole cache when a core has
+// seen more than maxCachedProgs programs.
 //
 //cryptojack:coldpath
 func (bc *blockCache) lookup(prog *isa.Program, gen uint64) *progBlocks {
-	if len(bc.progs) >= maxCachedProgs {
-		bc.invalidate()
+	if _, stale := bc.progs[prog]; stale {
+		bc.stats.Invalidations++
+	} else if len(bc.progs) >= maxCachedProgs {
+		bc.stats.Invalidations++
+		bc.progs = nil
 	}
 	if bc.progs == nil {
 		bc.progs = make(map[*isa.Program]*progBlocks, 4)
@@ -229,13 +207,8 @@ func (c *Core) runFastBlocks(maxInsts uint64) uint64 {
 
 	gen := tags.Gen()
 	pb := c.bb.progs[ctx.Prog]
-	if pb == nil {
+	if pb == nil || pb.gen != gen {
 		pb = c.bb.lookup(ctx.Prog, gen)
-	} else if pb.gen != gen {
-		// Firmware swap: re-tag this program's pre-counts in place. Other
-		// cached programs are re-tagged when they next run.
-		c.bb.stats.Invalidations++
-		pb.retag(tags)
 	}
 	blocks := pb.blocks
 

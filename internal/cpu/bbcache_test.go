@@ -393,12 +393,12 @@ func TestTagTableGen(t *testing.T) {
 	}
 }
 
-// TestBlockCacheRetagGranularity is the per-program invalidation property:
-// a tag-table swap must re-tag only the programs that actually run under
-// the new generation — one invalidation tick each, with the decoded blocks
-// kept (no rebuild, so Misses stays flat) and the recomputed pre-counts
-// correct under the new table.
-func TestBlockCacheRetagGranularity(t *testing.T) {
+// TestBlockCacheSwapGranularity is the per-program invalidation property:
+// a tag-table swap drops only the tables of programs that actually run
+// under the new generation — one invalidation tick and one re-decode each,
+// with pre-counts correct under the new table — while a program that has
+// not run since keeps its old table untouched.
+func TestBlockCacheSwapGranularity(t *testing.T) {
 	mkLoop := func(name string, iters int64) *isa.Program {
 		b := isa.NewBuilder(name)
 		b.Movi(isa.R12, iters)
@@ -453,35 +453,41 @@ func TestBlockCacheRetagGranularity(t *testing.T) {
 		t.Fatalf("invalidations before any post-swap run = %d, want 0", inv)
 	}
 
-	// Running A re-tags A alone: one tick, no block rebuilds.
+	// Running A drops and re-decodes A alone: one tick, A's blocks decoded
+	// again, B's old table still in place.
+	staleB := core.bb.progs[progB]
 	runToHalt(progA, 0x100_0000)
 	afterA := core.BlockCacheStats()
 	if afterA.Invalidations != 1 {
 		t.Fatalf("invalidations after re-running A = %d, want 1", afterA.Invalidations)
 	}
-	if afterA.Misses != warm.Misses {
-		t.Fatalf("misses grew %d -> %d: retag rebuilt blocks", warm.Misses, afterA.Misses)
+	decodedA := afterA.Misses - warm.Misses
+	if decodedA == 0 || 2*decodedA != warm.Misses {
+		t.Fatalf("re-running A decoded %d blocks, want half of the %d warm misses", decodedA, warm.Misses)
 	}
 	if got := core.Counters().RSX() - rsxWarm; got != 20 { // only ROLI tagged now
 		t.Fatalf("post-swap RSX delta for A = %d, want 20", got)
 	}
+	if core.bb.progs[progB] != staleB || staleB.gen == core.bb.progs[progA].gen {
+		t.Fatal("running A replaced B's table")
+	}
 
-	// B was left stale; its own next run pays its own single tick.
+	// B was left stale; its own next run pays its own tick and re-decode.
 	runToHalt(progB, 0x200_0000)
 	afterB := core.BlockCacheStats()
 	if afterB.Invalidations != 2 {
 		t.Fatalf("invalidations after re-running B = %d, want 2", afterB.Invalidations)
 	}
-	if afterB.Misses != warm.Misses {
-		t.Fatalf("misses grew %d -> %d: retag rebuilt blocks", warm.Misses, afterB.Misses)
+	if got := afterB.Misses - afterA.Misses; got != decodedA {
+		t.Fatalf("re-running B decoded %d blocks, want %d", got, decodedA)
 	}
 
 	// Steady state: the new generation is recorded, so further runs under
-	// the same table re-tag nothing.
+	// the same table drop and decode nothing.
 	runToHalt(progA, 0x100_0000)
 	runToHalt(progB, 0x200_0000)
-	if inv := core.BlockCacheStats().Invalidations; inv != 2 {
-		t.Fatalf("steady-state invalidations = %d, want 2", inv)
+	if s := core.BlockCacheStats(); s.Invalidations != 2 || s.Misses != afterB.Misses {
+		t.Fatalf("steady state: invalidations = %d (want 2), misses %d -> %d", s.Invalidations, afterB.Misses, s.Misses)
 	}
 }
 

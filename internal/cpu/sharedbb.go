@@ -10,18 +10,21 @@ import (
 // Fleet-scope shared decoded-block cache.
 //
 // The per-core block cache (bbcache.go) decodes each program into basic
-// blocks privately: every core of every machine pays the decode and
-// tag-count cost again even when thousands of fleet machines run the same
-// program image. A decoded block is a pure function of (code, entry pc,
-// tag-table generation), so the work can be shared: SharedBlocks is a
+// blocks privately. Without sharing, every core of every machine holds its
+// own decoded copy of every block even when thousands of fleet machines run
+// the same program image. A decoded block is a pure function of (code, entry
+// pc, tag-table generation), so one copy serves them all: SharedBlocks is a
 // process-wide cache keyed by program identity plus tag-table generation
 // that cores consult on a local miss and publish into after a local decode.
+// Its payoff is memory (one block per fleet, not per core) more than decode
+// time.
 //
 // Sharing never changes architectural results — a shared block is
 // bit-identical to the block the core would have decoded itself — and it
-// never races: published blocks are immutable, and a core that adopts one
-// copies the struct, because a firmware swap re-tags the core's cached
-// blocks in place (progBlocks.retag).
+// never races: a block is immutable once buildBlock returns, so the store
+// and every adopting core hold the same pointer. A firmware swap does not
+// touch blocks; it moves the core to a new generation, whose blocks are
+// fetched or decoded afresh.
 //
 // The cache appears on the hot path only on a local block-cache miss, which
 // is a cold event (steady-state hit rates are >99.9%), so the RWMutex it
@@ -40,15 +43,6 @@ const maxSharedProgs = 256
 type sharedKey struct {
 	prog *isa.Program
 	gen  uint64
-}
-
-// sharedProg holds one program's published blocks, densely indexed by entry
-// pc (nil = not yet published).
-//
-//cryptojack:derived
-type sharedProg struct {
-	mu     sync.RWMutex
-	blocks []*bbBlock // guarded by mu
 }
 
 // SharedBlocksStats is a point-in-time snapshot of the shared cache's
@@ -76,8 +70,10 @@ type SharedBlocksStats struct {
 //
 //cryptojack:derived
 type SharedBlocks struct {
+	// progs holds each (program, generation)'s published blocks, densely
+	// indexed by entry pc (nil = not yet published).
 	mu    sync.RWMutex
-	progs map[sharedKey]*sharedProg // guarded by mu
+	progs map[sharedKey][]*bbBlock // guarded by mu
 
 	hits      atomic.Uint64
 	misses    atomic.Uint64
@@ -87,7 +83,7 @@ type SharedBlocks struct {
 
 // NewSharedBlocks returns an empty fleet-scope decoded-block cache.
 func NewSharedBlocks() *SharedBlocks {
-	return &SharedBlocks{progs: map[sharedKey]*sharedProg{}}
+	return &SharedBlocks{progs: map[sharedKey][]*bbBlock{}}
 }
 
 // Stats returns a snapshot of the cache counters.
@@ -103,77 +99,51 @@ func (s *SharedBlocks) Stats() SharedBlocksStats {
 	}
 }
 
-// table returns the program's block table for gen, creating it when create
-// is set (and applying the capacity bound). Returns nil when absent and
-// create is false.
-//
-//cryptojack:coldpath
-func (s *SharedBlocks) table(prog *isa.Program, gen uint64, create bool) *sharedProg {
-	k := sharedKey{prog: prog, gen: gen}
-	s.mu.RLock()
-	sp := s.progs[k]
-	s.mu.RUnlock()
-	if sp != nil || !create {
-		return sp
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if sp = s.progs[k]; sp != nil {
-		return sp
-	}
-	if len(s.progs) >= maxSharedProgs {
-		s.progs = map[sharedKey]*sharedProg{}
-		s.evictions.Add(1)
-	}
-	sp = &sharedProg{blocks: make([]*bbBlock, len(prog.Code))}
-	s.progs[k] = sp
-	return sp
-}
-
-// get returns a private copy of the published block at pc (nil if none).
-// The copy shares the immutable ops/hist slices but owns its RSX pre-counts,
-// so the caller may re-tag it without racing other cores.
+// get returns the block published at pc (nil if none). Blocks are
+// immutable, so the caller may cache the pointer itself.
 //
 //cryptojack:coldpath
 func (s *SharedBlocks) get(prog *isa.Program, gen uint64, pc int) *bbBlock {
 	if s == nil {
 		return nil
 	}
-	sp := s.table(prog, gen, false)
-	if sp == nil {
-		s.misses.Add(1)
-		return nil
-	}
-	sp.mu.RLock()
+	s.mu.RLock()
 	var blk *bbBlock
-	if pc < len(sp.blocks) {
-		blk = sp.blocks[pc]
+	if blocks := s.progs[sharedKey{prog: prog, gen: gen}]; pc < len(blocks) {
+		blk = blocks[pc]
 	}
-	sp.mu.RUnlock()
+	s.mu.RUnlock()
 	if blk == nil {
 		s.misses.Add(1)
 		return nil
 	}
 	s.hits.Add(1)
-	cp := *blk
-	return &cp
+	return blk
 }
 
-// put publishes a copy of a freshly decoded block so other cores can adopt
-// it; the publisher keeps re-tagging its own. Concurrent publishers of the
-// same pc decode identical blocks, so last-writer-wins is harmless.
+// put publishes a freshly decoded block so other cores can adopt it,
+// applying the capacity bound. Concurrent publishers of the same pc decode
+// identical blocks, so last-writer-wins is harmless.
 //
 //cryptojack:coldpath
 func (s *SharedBlocks) put(prog *isa.Program, gen uint64, pc int, blk *bbBlock) {
 	if s == nil {
 		return
 	}
-	sp := s.table(prog, gen, true)
-	cp := *blk
-	sp.mu.Lock()
-	if pc < len(sp.blocks) {
-		sp.blocks[pc] = &cp
+	k := sharedKey{prog: prog, gen: gen}
+	s.mu.Lock()
+	blocks := s.progs[k]
+	if blocks == nil {
+		if len(s.progs) >= maxSharedProgs {
+			s.progs = map[sharedKey][]*bbBlock{}
+			s.evictions.Add(1)
+		}
+		blocks = make([]*bbBlock, len(prog.Code))
+		s.progs[k] = blocks
 	}
-	sp.mu.Unlock()
+	if pc < len(blocks) {
+		blocks[pc] = blk
+	}
+	s.mu.Unlock()
 	s.published.Add(1)
 }

@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -10,11 +11,11 @@ import (
 	"darkarts/internal/microcode"
 )
 
-// runShared executes prog to completion on a fresh single-core machine
-// wired to the given fleet-scope cache (nil = sharing off), in slices.
-// tags, when non-nil, is installed so machines share one tag-table
-// generation — the fleet wiring that makes cross-machine hits possible.
-func runShared(t *testing.T, prog *isa.Program, shared *SharedBlocks, tags *microcode.TagTable, slice uint64) bbOutcome {
+// sharedCore loads prog on a fresh single-core machine wired to the given
+// fleet-scope cache (nil = sharing off). tags, when non-nil, is installed so
+// machines share one tag-table generation — the fleet wiring that makes
+// cross-machine hits possible.
+func sharedCore(t *testing.T, prog *isa.Program, shared *SharedBlocks, tags *microcode.TagTable) (*CPU, *ArchContext) {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.Cores = 1
@@ -31,14 +32,25 @@ func runShared(t *testing.T, prog *isa.Program, shared *SharedBlocks, tags *micr
 	if err != nil {
 		t.Fatal(err)
 	}
-	core := machine.Core(0)
-	core.LoadContext(ctx)
-	for !ctx.Halted {
-		if n := core.Run(slice); n == 0 && !ctx.Halted {
+	machine.Core(0).LoadContext(ctx)
+	return machine, ctx
+}
+
+// runSlices runs the machine's core in slices until ctx halts or limit
+// slices have run.
+func runSlices(t *testing.T, machine *CPU, ctx *ArchContext, slice uint64, limit int) {
+	t.Helper()
+	for i := 0; i < limit && !ctx.Halted; i++ {
+		if n := machine.Core(0).Run(slice); n == 0 && !ctx.Halted {
 			t.Fatal("no progress")
 		}
 	}
-	bank := core.Counters()
+}
+
+// sharedOutcome captures the architectural and counter state of the
+// machine's core.
+func sharedOutcome(machine *CPU, ctx *ArchContext) bbOutcome {
+	bank := machine.Core(0).Counters()
 	out := bbOutcome{
 		regs:    ctx.Regs,
 		flags:   ctx.Flags,
@@ -54,6 +66,14 @@ func runShared(t *testing.T, prog *isa.Program, shared *SharedBlocks, tags *micr
 		out.fault = ctx.Fault.Error()
 	}
 	return out
+}
+
+// runShared executes prog to completion on a fresh sharedCore, in slices.
+func runShared(t *testing.T, prog *isa.Program, shared *SharedBlocks, tags *microcode.TagTable, slice uint64) bbOutcome {
+	t.Helper()
+	machine, ctx := sharedCore(t, prog, shared, tags)
+	runSlices(t, machine, ctx, slice, math.MaxInt)
+	return sharedOutcome(machine, ctx)
 }
 
 // TestSharedBlocksDifferential is the fleet cache's bit-identity property:
@@ -105,32 +125,88 @@ func TestSharedBlocksGenerationIsolation(t *testing.T) {
 	}
 }
 
-// TestSharedBlocksCopies: published and adopted blocks are private copies —
-// re-tagging the publisher's or a consumer's block (retag rewrites the RSX
-// pre-counts in place) must not leak into the published entry.
-func TestSharedBlocksCopies(t *testing.T) {
-	b := isa.NewBuilder("copy")
+// TestSharedBlocksByPointer: blocks are immutable, so get hands out the
+// published pointer itself. A firmware swap on one CPU must then leave a
+// second CPU adopting from the same store bit-identical to a private
+// decode: the swap moves the first CPU to a new generation and never
+// touches the blocks the second one holds.
+func TestSharedBlocksByPointer(t *testing.T) {
+	b := isa.NewBuilder("ptr")
 	b.Movi(isa.R1, 1)
 	b.Halt()
 	prog := b.MustBuild()
-
 	shared := NewSharedBlocks()
 	orig := &bbBlock{pc: 0, rsx: 1, tagMask: 1}
 	shared.put(prog, 1, 0, orig)
-	orig.rsx, orig.tagMask = 0, 0
-	got := shared.get(prog, 1, 0)
-	if got == nil {
-		t.Fatal("miss")
+	if got := shared.get(prog, 1, 0); got != orig {
+		t.Fatalf("get returned %p, want the published %p", got, orig)
 	}
-	if got == orig {
-		t.Fatal("get returned the published pointer, not a copy")
+
+	rng := rand.New(rand.NewSource(77))
+	for trial := 0; trial < 10; trial++ {
+		prog := randomProgram(rng)
+		const slice = 7
+		private := runShared(t, prog, nil, nil, slice)
+		store := NewSharedBlocks()
+		tags := microcode.RSX()
+		m1, ctx1 := sharedCore(t, prog, store, tags) // publisher
+		m2, ctx2 := sharedCore(t, prog, store, tags) // adopter
+		runSlices(t, m1, ctx1, slice, 6)
+		runSlices(t, m2, ctx2, slice, 3)
+		// The publisher swaps firmware mid-program and keeps running
+		// under the new generation while the adopter holds its blocks.
+		m1.InstallTagTable(microcode.RotateOnly())
+		runSlices(t, m1, ctx1, slice, math.MaxInt)
+		runSlices(t, m2, ctx2, slice, math.MaxInt)
+		requireSameOutcome(t, prog.Name+"/adopter", private, sharedOutcome(m2, ctx2))
+		if store.Stats().Hits == 0 {
+			t.Fatalf("%s: adopter had no shared hits", prog.Name)
+		}
 	}
-	if got.rsx != 1 || got.tagMask != 1 {
-		t.Fatalf("adopted pre-counts = %d/%#x, want 1/0x1 (publisher mutation leaked)", got.rsx, got.tagMask)
+}
+
+// TestSharedBlocksAdoptAllocs: a CPU running a program whose blocks are all
+// published allocates no blocks — only its dense block table and the map
+// entry holding it.
+func TestSharedBlocksAdoptAllocs(t *testing.T) {
+	// Twenty conditional branches make twenty-odd blocks, far more than
+	// the per-program table's fixed allocations.
+	b := isa.NewBuilder("branchy")
+	b.Movi(isa.R1, 3)
+	for i := 0; i < 20; i++ {
+		l := fmt.Sprintf("l%d", i)
+		b.OpI(isa.ROLI, isa.R1, isa.R1, 1)
+		b.Cmpi(isa.R1, 0)
+		b.Jcc(isa.JE, l)
+		b.Label(l)
 	}
-	got.rsx = 1000
-	if again := shared.get(prog, 1, 0); again.rsx != 1 {
-		t.Fatal("consumer pre-count mutation leaked into the shared entry")
+	b.Halt()
+	prog := b.MustBuild()
+	store := NewSharedBlocks()
+	tags := microcode.RSX()
+	runShared(t, prog, store, tags, 1<<20) // publisher
+	published := store.Stats().Published
+	if published < 20 {
+		t.Fatalf("published %d blocks, want >= 20", published)
+	}
+
+	machine, ctx := sharedCore(t, prog, store, tags)
+	start := *ctx
+	core := machine.Core(0)
+	allocs := testing.AllocsPerRun(5, func() {
+		core.bb.progs = nil // a fresh core's empty block cache
+		*ctx = start
+		core.Run(1 << 20)
+	})
+	if !ctx.Halted {
+		t.Fatal("program did not halt")
+	}
+	if s := store.Stats(); s.Published != published {
+		t.Fatalf("adopter published %d more blocks", s.Published-published)
+	}
+	// Map header and bucket group, progBlocks, dense table.
+	if allocs > 4 {
+		t.Fatalf("adopting %d published blocks allocated %.0f objects, want <= 4", published, allocs)
 	}
 }
 
@@ -193,5 +269,27 @@ func TestSharedBlocksConcurrent(t *testing.T) {
 	s := shared.Stats()
 	if s.Hits+s.Misses != 8*50 {
 		t.Fatalf("hits+misses = %d, want %d", s.Hits+s.Misses, 8*50)
+	}
+
+	// Cores on separate goroutines publish and execute the same blocks at
+	// once, each ending in the private-decode outcome.
+	want := runShared(t, progs[0], nil, nil, 7)
+	tags := microcode.RSX()
+	machines := make([]*CPU, 4)
+	ctxs := make([]*ArchContext, len(machines))
+	for i := range machines {
+		machines[i], ctxs[i] = sharedCore(t, progs[0], shared, tags)
+	}
+	for i := range machines {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for !ctxs[i].Halted && machines[i].Core(0).Run(7) > 0 {
+			}
+		}(i)
+	}
+	wg.Wait()
+	for i := range machines {
+		requireSameOutcome(t, fmt.Sprintf("core goroutine %d", i), want, sharedOutcome(machines[i], ctxs[i]))
 	}
 }

@@ -49,23 +49,21 @@ type Config struct {
 	// Obs is the fleet-level metrics registry (fleet_* catalog in
 	// OBSERVABILITY.md); nil disables fleet instrumentation.
 	Obs *obs.Registry
-	// NoSharedBlocks keeps every core's decoded-block cache private
-	// (the pre-fleet behaviour). The zero value shares one process-wide
-	// cache across all member machines.
-	NoSharedBlocks bool
-	// NoFastForward forces per-quantum simulation on every machine every
-	// round. The zero value lets quiescent machines (idle, or purely
-	// rate-model) advance analytically via Machine.FastForwardTo, and skips
-	// the rounds in which such a machine has no event (see Member) — a pure
-	// performance ablation knob: the alert stream is bit-identical either
-	// way (kernel differential tests hold the two paths to equality).
-	NoFastForward bool // cryptojack:hostonly -- execution strategy, result-invariant
 	// StaticPolicy selects what fleet admission does with the guest
 	// static-analysis profile (internal/gsa) of submitted ISA programs:
 	// StaticAdmit reports it, StaticFlag (the default) additionally stamps
 	// the detection prior so flagged programs are confirmed on shortened
 	// monitoring windows, StaticReject refuses flagged programs outright.
 	StaticPolicy string
+
+	// Result-invariant ablations, set only by this package's tests and
+	// benchmarks. noSharedBlocks keeps every core's decoded blocks private
+	// instead of sharing one copy per fleet (the cache's payoff is memory).
+	// noFastForward simulates every machine every round instead of
+	// advancing quiescent ones analytically (Machine.FastForwardTo) and
+	// skipping their event-free rounds (see Member).
+	noSharedBlocks bool
+	noFastForward  bool // cryptojack:hostonly -- execution strategy, result-invariant
 }
 
 // Static admission policies (Config.StaticPolicy).
@@ -266,7 +264,7 @@ func New(cfg Config) (*Fleet, error) {
 		owners:  map[tenantKey]string{},
 		tenants: map[string]int{},
 	}
-	if !cfg.NoSharedBlocks {
+	if !cfg.noSharedBlocks {
 		f.shared = cpu.NewSharedBlocks()
 	}
 	// One decoder tag table for the whole fleet: block-cache keys include
@@ -409,7 +407,7 @@ func (w *worker) drain(v *worker, end time.Duration, steal bool) {
 // horizon, so it is due every round. It reports whether the span was
 // fast-forwarded.
 func (f *Fleet) advance(mem *Member, end time.Duration) bool {
-	if !f.cfg.NoFastForward {
+	if !f.cfg.noFastForward {
 		if h, ok := mem.M.FastForwardTo(end); ok {
 			mem.horizon = h
 			return true
@@ -464,7 +462,7 @@ func (f *Fleet) round(step time.Duration, all bool) {
 		t0 = time.Now()
 	}
 	end := f.simTime + step
-	all = all || f.cfg.NoFastForward
+	all = all || f.cfg.noFastForward
 	f.due = f.due[:0]
 	for _, w := range f.workers {
 		w.dueLo = len(f.due)

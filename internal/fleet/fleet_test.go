@@ -82,7 +82,7 @@ func TestFleetDeterminismSharedBlocks(t *testing.T) {
 	for _, noShare := range []bool{false, true} {
 		cfg := testConfig(6)
 		cfg.Shards = 2
-		cfg.NoSharedBlocks = noShare
+		cfg.noSharedBlocks = noShare
 		f, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -95,7 +95,7 @@ func TestFleetDeterminismSharedBlocks(t *testing.T) {
 				t.Errorf("shared-blocks cache changed the alert stream\n got %+v\nwant %+v", got, want)
 			}
 			if f.SharedBlocks() != nil {
-				t.Error("NoSharedBlocks fleet still built a shared cache")
+				t.Error("noSharedBlocks fleet still built a shared cache")
 			}
 		} else {
 			want = got

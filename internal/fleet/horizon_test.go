@@ -35,7 +35,7 @@ func runHorizonFleet(t *testing.T, long, noFF bool) horizonRun {
 	t.Helper()
 	cfg := testConfig(16) // 250ms rounds, 2s windows
 	cfg.Shards = 2
-	cfg.NoFastForward = noFF
+	cfg.noFastForward = noFF
 	f, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

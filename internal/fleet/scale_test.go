@@ -33,7 +33,7 @@ func benchFleet(b *testing.B, machines int, noFF bool, seed func(testing.TB, *Fl
 	cfg.Round = 250 * time.Millisecond
 	cfg.Machine.Kernel.Tunables.Period = 2 * time.Second
 	cfg.Seed = 7
-	cfg.NoFastForward = noFF
+	cfg.noFastForward = noFF
 	f, err := New(cfg)
 	if err != nil {
 		b.Fatal(err)

@@ -15,7 +15,7 @@ func schedStream(t *testing.T, shards int, noFF, noSteal bool, hook func(int)) [
 	t.Helper()
 	cfg := testConfig(8)
 	cfg.Shards = shards
-	cfg.NoFastForward = noFF
+	cfg.noFastForward = noFF
 	f, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +96,7 @@ func TestFleetStealMetrics(t *testing.T) {
 
 	cfg = testConfig(8)
 	cfg.Shards = 2
-	cfg.NoFastForward = true
+	cfg.noFastForward = true
 	f, err = New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +104,7 @@ func TestFleetStealMetrics(t *testing.T) {
 	seedWorkloads(t, f)
 	f.Run(3 * time.Second)
 	if v, _ := f.Obs().Value("fleet_fastforward_rounds_total", ""); v != 0 {
-		t.Errorf("NoFastForward fleet still fast-forwarded %v machine-rounds", v)
+		t.Errorf("noFastForward fleet still fast-forwarded %v machine-rounds", v)
 	}
 }
 

@@ -99,8 +99,9 @@ type boundSpec struct {
 
 // Catalog returns the fleet's shared ISA program catalog names, sorted.
 // Every machine loads catalog programs from the same *isa.Program image,
-// which is what lets the fleet-scope decoded-block cache deduplicate
-// decode work across machines.
+// which is what lets the fleet-scope decoded-block cache keep one decoded
+// copy of each block for the whole fleet — a memory saving more than a
+// decode-time one.
 func (f *Fleet) Catalog() []string {
 	f.ensureCatalog()
 	names := make([]string, 0, len(f.catalog))

@@ -115,8 +115,8 @@ func TestFastForwardMatchesRun(t *testing.T) {
 }
 
 // TestFastForwardMixedRounds toggles fast-forward on and off round by
-// round — the fleet does exactly this when NoFastForward flips or
-// eligibility changes — and must still match an all-simulated twin.
+// round — the fleet does exactly this as a machine's eligibility
+// changes — and must still match an all-simulated twin.
 func TestFastForwardMixedRounds(t *testing.T) {
 	ref, ff := newFFMachine(t), newFFMachine(t)
 	populateRate(ref)

@@ -221,18 +221,39 @@ func TestProcFSRoundTrip(t *testing.T) {
 }
 
 func TestProcFSRejectsBadValues(t *testing.T) {
-	k := newTestKernel(t)
+	k := newTestKernel(t) // 1s period, divisor 4, 4ms time slice
 	fs := k.ProcFS()
-	bad := map[string]string{
-		ProcThreshold:   "0",
-		ProcPeriod:      "-5",
-		ProcEnabled:     "maybe",
-		ProcMonitorRoot: "2",
-	}
-	for path, val := range bad {
-		if err := fs.Write(path, val); err == nil {
-			t.Errorf("Write(%s, %q) accepted", path, val)
+	for _, w := range []struct{ path, val string }{
+		{ProcThreshold, "0"},
+		{ProcPeriod, "-5"},
+		{ProcEnabled, "maybe"},
+		{ProcMonitorRoot, "2"},
+		{ProcStaticDiv, "-1"},
+		// Overflows time.Duration: would wrap to a negative period and a
+		// threshold no miner reaches.
+		{ProcPeriod, "9223372036854775807"},
+		{ProcPeriod, "9223372036855"},
+		// Flagged windows shorter than one time slice: a zero-length
+		// window has threshold 0 and alerts at an infinite rate.
+		{ProcStaticDiv, "100000000000"},
+		{ProcStaticDiv, "251"}, // 1s/251 < 4ms
+		{ProcPeriod, "15"},     // 15ms/4 < 4ms
+		{ProcPeriod, "3"},
+	} {
+		before := k.Tunables()
+		if err := fs.Write(w.path, w.val); err == nil {
+			t.Errorf("Write(%s, %q) accepted", w.path, w.val)
 		}
+		if after := k.Tunables(); after != before {
+			t.Errorf("refused Write(%s, %q) changed tunables %+v -> %+v", w.path, w.val, before, after)
+		}
+	}
+	// The boundary is exactly one time slice.
+	if err := fs.Write(ProcStaticDiv, "250"); err != nil {
+		t.Errorf("1s/250 = 4ms window refused: %v", err)
+	}
+	if err := fs.Write(ProcPeriod, "1000"); err != nil {
+		t.Errorf("unchanged period refused: %v", err)
 	}
 	if _, err := fs.Read("sys/rsx/nope"); err == nil {
 		t.Error("Read of unknown path accepted")

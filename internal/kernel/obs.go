@@ -164,7 +164,7 @@ func newKMetrics(reg *obs.Registry, cores int) *kmetrics {
 			Unit: "blocks", Help: "basic-block translation cache misses (blocks decoded and cached)"}))
 		m.bbInvalidations = append(m.bbInvalidations, reg.Counter(obs.Desc{
 			Name: "bb_invalidations_total", Label: label, Layer: obs.LayerCPU,
-			Unit: "invalidations", Help: "per-program basic-block cache retags after tag-table generation changes"}))
+			Unit: "invalidations", Help: "per-program basic-block table drops after tag-table generation changes (re-decoded on the next run)"}))
 	}
 	return m
 }

@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -66,7 +67,16 @@ func (t Tunables) thresholdFor(period time.Duration) uint64 {
 // the configured Period, divided by StaticPriorDivisor when the thread
 // group carries a static-analysis flag.
 func (t Tunables) periodFor(g *TgidRSX) time.Duration {
-	if g.staticFlagged && t.StaticPriorDivisor > 1 {
+	if g.staticFlagged {
+		return t.flaggedPeriod()
+	}
+	return t.Period
+}
+
+// flaggedPeriod is the monitoring window of a statically flagged thread
+// group, the shortest window the tunables produce.
+func (t Tunables) flaggedPeriod() time.Duration {
+	if t.StaticPriorDivisor > 1 {
 		return t.Period / time.Duration(t.StaticPriorDivisor)
 	}
 	return t.Period
@@ -140,46 +150,54 @@ func (p *ProcFS) Write(path, value string) error {
 	value = strings.TrimSpace(value)
 	p.k.mu.Lock()
 	defer p.k.mu.Unlock()
+	t := p.k.tunables
 	switch path {
 	case ProcThreshold:
 		v, err := strconv.ParseUint(value, 10, 64)
 		if err != nil || v == 0 {
 			return fmt.Errorf("procfs: %s: invalid threshold %q", path, value)
 		}
-		p.k.tunables.ThresholdPerMin = v
+		t.ThresholdPerMin = v
 	case ProcPeriod:
 		ms, err := strconv.ParseInt(value, 10, 64)
-		if err != nil || ms <= 0 {
+		if err != nil || ms <= 0 || ms > math.MaxInt64/int64(time.Millisecond) {
 			return fmt.Errorf("procfs: %s: invalid period %q", path, value)
 		}
-		p.k.tunables.Period = time.Duration(ms) * time.Millisecond
+		t.Period = time.Duration(ms) * time.Millisecond
 	case ProcEnabled:
 		b, err := parseBoolFile(value)
 		if err != nil {
 			return fmt.Errorf("procfs: %s: %w", path, err)
 		}
-		p.k.tunables.Enabled = b
+		t.Enabled = b
 	case ProcMonitorRoot:
 		b, err := parseBoolFile(value)
 		if err != nil {
 			return fmt.Errorf("procfs: %s: %w", path, err)
 		}
-		p.k.tunables.MonitorRoot = b
+		t.MonitorRoot = b
 	case ProcSessionAgg:
 		b, err := parseBoolFile(value)
 		if err != nil {
 			return fmt.Errorf("procfs: %s: %w", path, err)
 		}
-		p.k.tunables.SessionAggregation = b
+		t.SessionAggregation = b
 	case ProcStaticDiv:
 		v, err := strconv.ParseUint(value, 10, 64)
 		if err != nil {
 			return fmt.Errorf("procfs: %s: invalid divisor %q", path, value)
 		}
-		p.k.tunables.StaticPriorDivisor = v
+		t.StaticPriorDivisor = v
 	default:
 		return fmt.Errorf("procfs: no such file %q", path)
 	}
+	// Windows are judged at context switches: one shorter than a quantum
+	// has a zero threshold and alerts at an infinite rate.
+	if w := t.flaggedPeriod(); (path == ProcPeriod || path == ProcStaticDiv) && w < p.k.cfg.TimeSlice {
+		return fmt.Errorf("procfs: %s: %q leaves a %v window, shorter than the %v time slice",
+			path, value, w, p.k.cfg.TimeSlice)
+	}
+	p.k.tunables = t
 	if p.k.om != nil {
 		p.k.om.reg.Tracer().Record(obs.Event{
 			Time: p.k.now, Kind: obs.EvTunableWrite, Note: path + "=" + value,

@@ -140,7 +140,8 @@ func (m *Machine) SpawnApp(p workload.AppProfile) *kernel.Task {
 // SpawnProgram loads an ISA program as a non-root process running at the
 // given effective instruction rate. Looping programs restart on halt.
 // Program code is never copied — many machines may load the same *Program
-// image, which is what makes the fleet-scope decoded-block cache pay off.
+// image, which is what lets the fleet-scope decoded-block cache pay off in
+// memory: one decoded copy of each block per fleet, not one per core.
 func (m *Machine) SpawnProgram(name string, prog *isa.Program, ips uint64, loop bool) (*kernel.Task, error) {
 	base := m.nextBase
 	m.nextBase += cpu.RegionSize(prog) + 1<<20
