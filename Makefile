@@ -14,18 +14,15 @@ vet:
 
 # Invariant linter: the internal/analysis suite (determinism, locksetflow,
 # lockorder, atomiccheck, hotpath, exhaustivedecode, ctrange, hosttaint,
-# statecheck, sharecheck) run over the whole module, sharing
-# one type-checked load and one call graph. Zero findings is part of the
-# tier-1 gate; -time reports the per-analyzer wall time on stderr
-# (recorded in OBSERVABILITY.md), -budget fails a clean run that blows
-# past 2x the reference wall clock (so taint-engine regressions surface
-# in CI, not in reviewers' patience), and -state-manifest regenerates the
-# committed snapshot-surface inventory in place — the cmd test fails if
-# it drifts from the annotations. See DESIGN.md §5d and §5g.
+# sharecheck) run over the whole module, sharing one type-checked load
+# and one call graph. Zero findings is part of the tier-1 gate; -time
+# reports the per-analyzer wall time on stderr (recorded in
+# OBSERVABILITY.md), and -budget fails a clean run that blows past 2x
+# the reference wall clock (so taint-engine regressions surface in CI,
+# not in reviewers' patience). See DESIGN.md §5d and §5g.
 LINT_BUDGET ?= 10s
 lint:
-	$(GO) run ./cmd/cryptojacklint -time -budget $(LINT_BUDGET) \
-	  -state-manifest internal/machine/state_manifest.txt ./...
+	$(GO) run ./cmd/cryptojacklint -time -budget $(LINT_BUDGET) ./...
 
 # Guest static analysis gate: sweep the ISA program registry with the
 # gsa scoring pipeline, enforce the ranking contract (every miner flagged
@@ -84,12 +81,14 @@ fleet-smoke:
 
 # Bounded fuzz smoke over the CPU engines: the block engine, the only
 # fast tier, against the step engine, and every engine against panics;
-# and over the fleet API's submit and alert-query handlers. Go fuzzes one
-# target per invocation; 20 s each keeps CI short.
+# over the fleet API's submit and alert-query handlers; and over kernel
+# fast-forward against per-quantum simulation. Go fuzzes one target per
+# invocation; 20 s each keeps CI short.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzBlocksDifferential$$' -fuzztime 20s ./internal/cpu
 	$(GO) test -run '^$$' -fuzz '^FuzzExecutorNeverPanics$$' -fuzztime 20s ./internal/cpu
 	$(GO) test -run '^$$' -fuzz '^FuzzAPI$$' -fuzztime 20s ./internal/fleet
+	$(GO) test -run '^$$' -fuzz '^FuzzFastForward$$' -fuzztime 20s ./internal/kernel
 
 # Race-detect the whole module. The packages the parallel quantum
 # execution touches (scheduler, core engines, counter banks, metrics

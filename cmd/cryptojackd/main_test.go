@@ -1,6 +1,9 @@
 package main
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestRunInfectedDetects(t *testing.T) {
 	err := run([]string{"-duration", "90s", "-period", "30s", "-threads", "4"})
@@ -28,5 +31,16 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 	if err := run([]string{"-nope"}); err == nil {
 		t.Error("unknown flag accepted")
+	}
+	// A 1ms period leaves flagged groups a 250µs window, shorter than the
+	// 4ms quantum: every context switch would alert.
+	for _, args := range [][]string{
+		{"-duration", "2s", "-period", "1ms"},
+		{"-fleet", "2", "-duration", "2s", "-period", "1ms"},
+	} {
+		err := run(args)
+		if err == nil || !strings.Contains(err.Error(), "time slice") {
+			t.Errorf("run(%q) = %v, want an error naming the time slice", args, err)
+		}
 	}
 }

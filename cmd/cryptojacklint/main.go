@@ -1,8 +1,8 @@
 // Command cryptojacklint is the reproduction's invariant linter: it runs
 // the internal/analysis suite (determinism, locksetflow, lockorder,
-// atomiccheck, hotpath, exhaustivedecode, ctrange, hosttaint, statecheck,
-// sharecheck) over the module and reports every violation of
-// the simulator's machine-checked conventions. All analyzers share one
+// atomiccheck, hotpath, exhaustivedecode, ctrange, hosttaint, sharecheck)
+// over the module and reports every violation of the simulator's
+// machine-checked conventions. All analyzers share one
 // type-checked load of the module; the module-wide analyzers
 // additionally share one call graph and one taint fixpoint. `make lint`
 // wires it into the tier-1 gate; DESIGN.md §5d/§5g catalogue the
@@ -11,8 +11,8 @@
 // Usage:
 //
 //	cryptojacklint [-only names] [-sim-pkgs substrings]
-//	               [-ctrange-pkgs substrings] [-state-manifest file]
-//	               [-budget duration] [-time] [-list] [patterns]
+//	               [-ctrange-pkgs substrings] [-budget duration]
+//	               [-time] [-list] [patterns]
 //
 // Patterns default to ./... (the whole module). Exit status is 1 when any
 // finding is reported or the -budget wall-clock ceiling is exceeded, 2 on
@@ -37,12 +37,11 @@ import (
 	"darkarts/internal/analysis/lockorder"
 	"darkarts/internal/analysis/locksetflow"
 	"darkarts/internal/analysis/sharecheck"
-	"darkarts/internal/analysis/statecheck"
 )
 
-// simPackagesDefault scopes the determinism, hosttaint, statecheck, and
-// sharecheck analyzers to the simulation packages — the single shared
-// list in analysis.SimPackages: the packages whose state feeds the RSX
+// simPackagesDefault scopes the determinism, hosttaint, and sharecheck
+// analyzers to the simulation packages — the single shared list in
+// analysis.SimPackages: the packages whose state feeds the RSX
 // counter pipeline, the machine and fleet layers whose round barriers
 // extend the serial/parallel bit-identity guarantee to whole fleets
 // (FLEET.md), and the isa/microcode layers whose tables are part of the
@@ -68,8 +67,6 @@ func run(args []string, stdout, stderr *os.File) int {
 			"comma-separated package-path substrings the determinism analyzer is scoped to")
 		ctrangePkgs = fs.String("ctrange-pkgs", ctrangePackagesDefault,
 			"comma-separated package-path substrings the ctrange analyzer is scoped to")
-		manifest = fs.String("state-manifest", "",
-			"write the statecheck state inventory to this file after the run")
 		budget = fs.Duration("budget", 0,
 			"fail when the whole run (load + analyzers) exceeds this wall-clock ceiling")
 		timing = fs.Bool("time", false, "report per-analyzer wall time on stderr")
@@ -88,7 +85,6 @@ func run(args []string, stdout, stderr *os.File) int {
 		exhaustivedecode.Analyzer,
 		ctrange.Analyzer,
 		hosttaint.Analyzer,
-		statecheck.Analyzer,
 		sharecheck.Analyzer,
 	}
 	if *list {
@@ -115,11 +111,10 @@ func run(args []string, stdout, stderr *os.File) int {
 		}
 	}
 
-	// The module-wide taint/state analyzers bypass the per-package filter
+	// The module-wide taint analyzers bypass the per-package filter
 	// below; their scope is plumbed through package variables instead.
 	simScope := strings.Split(*simPkgs, ",")
 	hosttaint.Scope = simScope
-	statecheck.Scope = simScope
 	sharecheck.Scope = simScope
 
 	started := time.Now()
@@ -197,12 +192,6 @@ func run(args []string, stdout, stderr *os.File) int {
 		fmt.Fprintf(stderr, "cryptojacklint: %-17s %s\n", "total", elapsed.Round(10*time.Microsecond))
 	}
 
-	if *manifest != "" && ranAnalyzer(analyzers, statecheck.Analyzer) {
-		if err := os.WriteFile(*manifest, []byte(statecheck.LastManifest), 0o644); err != nil {
-			fmt.Fprintf(stderr, "cryptojacklint: writing state manifest: %v\n", err)
-			return 2
-		}
-	}
 	for _, f := range findings {
 		name := f.Pos.Filename
 		if rel, err := filepath.Rel(cwd, name); err == nil && !strings.HasPrefix(rel, "..") {
@@ -220,15 +209,6 @@ func run(args []string, stdout, stderr *os.File) int {
 		return 1
 	}
 	return 0
-}
-
-func ranAnalyzer(analyzers []*analysis.Analyzer, a *analysis.Analyzer) bool {
-	for _, x := range analyzers {
-		if x == a {
-			return true
-		}
-	}
-	return false
 }
 
 // moduleRoot walks up from dir to the enclosing go.mod.

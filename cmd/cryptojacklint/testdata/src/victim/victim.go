@@ -84,10 +84,10 @@ type journal struct {
 	n  uint64
 }
 
-//cryptojack:state
+// led is the first lock of the lockorder seed below.
 var led ledger
 
-//cryptojack:state
+// jrn is the second.
 var jrn journal
 
 // Post seeds one leg of a lockorder cycle: ledger.mu → journal.mu...
@@ -148,24 +148,24 @@ func growBlock(block []stage, s stage) []stage {
 	return append(block, s)
 }
 
-// Machine roots the statecheck walk and the sharecheck loop analysis
-// (the cmd test narrows -sim-pkgs to this package). The heat field seeds
-// a statecheck violation: it is reachable from machine state but carries
-// no classification.
+// Machine roots the sharecheck loop analysis (the cmd test narrows
+// -sim-pkgs to this package). Its fields are simulation state: rig is
+// the structure the loop below aliases across machines, and stamp is
+// where the hosttaint seed stores the wall clock. Only a hostonly or
+// immutable marker would exempt them.
 type Machine struct {
-	rig   *rig  // cryptojack:state
-	stamp int64 // cryptojack:state
-	heat  uint64
+	rig   *rig
+	stamp int64
 }
 
 // rig is the mutable structure the sharecheck seed aliases fleet-wide.
 type rig struct {
-	temp uint64 // cryptojack:state
+	temp uint64
 }
 
 // sharedRig is the loop-invariant pointer every machine below receives.
-//
-//cryptojack:state
+// It carries no hostonly or immutable marker, so sharing it is a
+// finding.
 var sharedRig = &rig{}
 
 // install stores the package-level rig into one machine.

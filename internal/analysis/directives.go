@@ -25,38 +25,23 @@ const (
 	DirLocked   = "cryptojack:locked"
 )
 
-// State classifications. Every field transitively reachable from
-// machine.Machine and every package-level var in a simulation package
-// must carry one (statecheck enforces this; DESIGN.md §5g):
+// Host-side classifications. A field or package-level var carrying one
+// of these markers lies outside simulated state, so hosttaint accepts
+// host-tainted values there and sharecheck lets machines share it:
 //
-//	//cryptojack:state     — persistent simulation state: part of the
-//	                         future snapshot surface, must be restored
-//	                         bit-identically.
-//	//cryptojack:derived   — rebuildable cache (bbcache, TLB,
-//	                         pools): snapshot may drop it, a cold rebuild
-//	                         reproduces identical observable behavior.
 //	//cryptojack:hostonly  — host-side handle (obs registries, http,
 //	                         logging, worker plumbing): never influences
 //	                         simulated observable state, and the one
 //	                         legitimate destination for host-tainted
-//	                         values (hosttaint).
+//	                         values.
 //	//cryptojack:immutable — written once before use and never mutated
 //	                         (lookup tables, decoded programs): safe to
-//	                         share and to leave out of snapshots.
+//	                         share across machines.
 //
 // The marker goes on the field's line or doc comment; a marker on a
-// type declaration sets the default for all of that struct's fields,
-// overridable per field. It composes with locksetflow's annotation on the
-// same line: `mu sync.Mutex // guarded by mu; cryptojack:state`.
-const (
-	ClassState     = "state"
-	ClassDerived   = "derived"
-	ClassHostonly  = "hostonly"
-	ClassImmutable = "immutable"
-)
-
-// classRe matches a classification marker in a doc or line comment.
-var classRe = regexp.MustCompile(`cryptojack:(state|derived|hostonly|immutable)\b`)
+// type declaration covers all of that struct's fields, and one on a var
+// block's doc comment covers every var in the block.
+var classRe = regexp.MustCompile(`cryptojack:(hostonly|immutable)\b`)
 
 // guardedRe matches the field annotation locksetflow consumes, e.g.
 //
@@ -99,14 +84,14 @@ type Directives struct {
 	guardObj map[types.Object]types.Object
 	// suppress maps filename → line → analyzer names suppressed there.
 	suppress map[string]map[int]map[string]bool
-	// classes maps a struct field or package-level var to its
-	// cryptojack:state/derived/hostonly/immutable classification.
-	classes map[types.Object]string
-	// typeClass maps a type name to the default classification its
-	// declaration comment sets for all fields of the struct.
-	typeClass map[types.Object]string
+	// hostSide holds every struct field and package-level var marked
+	// cryptojack:hostonly or cryptojack:immutable.
+	hostSide map[types.Object]bool
+	// typeHostSide holds every type whose declaration comment carries
+	// one of those markers, covering all fields of the struct.
+	typeHostSide map[types.Object]bool
 	// fieldOwner maps a struct field to the named type declaring it, so
-	// ClassOf can fall back to the type-level default.
+	// HostSide can fall back to the type-level marker.
 	fieldOwner map[types.Object]types.Object
 	// ignores holds every //lint:ignore comment for the audit; ignoreAt
 	// indexes them by position for usage marking.
@@ -116,14 +101,14 @@ type Directives struct {
 
 func newDirectives() *Directives {
 	return &Directives{
-		funcs:      map[types.Object]map[string]bool{},
-		guarded:    map[types.Object]string{},
-		guardObj:   map[types.Object]types.Object{},
-		suppress:   map[string]map[int]map[string]bool{},
-		classes:    map[types.Object]string{},
-		typeClass:  map[types.Object]string{},
-		fieldOwner: map[types.Object]types.Object{},
-		ignoreAt:   map[string]map[int]*IgnoreComment{},
+		funcs:        map[types.Object]map[string]bool{},
+		guarded:      map[types.Object]string{},
+		guardObj:     map[types.Object]types.Object{},
+		suppress:     map[string]map[int]map[string]bool{},
+		hostSide:     map[types.Object]bool{},
+		typeHostSide: map[types.Object]bool{},
+		fieldOwner:   map[types.Object]types.Object{},
+		ignoreAt:     map[string]map[int]*IgnoreComment{},
 	}
 }
 
@@ -159,22 +144,14 @@ func (d *Directives) GuardObjOf(field types.Object) (types.Object, bool) {
 	return g, ok
 }
 
-// ClassOf returns obj's state classification: the field- or var-level
-// marker if present, else the declaring type's default for struct
-// fields. The bool reports whether any classification applies.
-func (d *Directives) ClassOf(obj types.Object) (string, bool) {
+// HostSide reports whether obj is classified hostonly or immutable: by
+// its own field- or var-level marker, or, for a struct field, by a
+// marker on the declaring type.
+func (d *Directives) HostSide(obj types.Object) bool {
 	if d == nil || obj == nil {
-		return "", false
+		return false
 	}
-	if c, ok := d.classes[obj]; ok {
-		return c, true
-	}
-	if owner, ok := d.fieldOwner[obj]; ok {
-		if c, ok := d.typeClass[owner]; ok {
-			return c, true
-		}
-	}
-	return "", false
+	return d.hostSide[obj] || d.typeHostSide[d.fieldOwner[obj]]
 }
 
 // IgnoreComments returns every //lint:ignore comment seen in the target
@@ -323,26 +300,25 @@ func (d *Directives) recordIgnore(ig *IgnoreComment) {
 	lines[ig.Pos.Line] = ig
 }
 
-// classFrom extracts the classification marker from the given comment
-// groups, last one wins within a group, later groups override earlier.
-func classFrom(groups ...*ast.CommentGroup) string {
-	class := ""
+// markedHostSide reports whether any of the comment groups carries a
+// hostonly or immutable marker.
+func markedHostSide(groups ...*ast.CommentGroup) bool {
 	for _, cg := range groups {
 		if cg == nil {
 			continue
 		}
 		for _, c := range cg.List {
-			if m := classRe.FindStringSubmatch(c.Text); m != nil {
-				class = m[1]
+			if classRe.MatchString(c.Text) {
+				return true
 			}
 		}
 	}
-	return class
+	return false
 }
 
-// collectTypeClasses records type-level classification defaults and
-// field-level classifications (plus field→type ownership) for every
-// struct type in a package-level type declaration.
+// collectTypeClasses records type-level and field-level host-side
+// markers (plus field→type ownership) for every struct type in a
+// package-level type declaration.
 func (d *Directives) collectTypeClasses(gd *ast.GenDecl, info *types.Info) {
 	for _, spec := range gd.Specs {
 		ts, ok := spec.(*ast.TypeSpec)
@@ -358,8 +334,8 @@ func (d *Directives) collectTypeClasses(gd *ast.GenDecl, info *types.Info) {
 		if len(gd.Specs) == 1 {
 			docs = append([]*ast.CommentGroup{gd.Doc}, docs...)
 		}
-		if class := classFrom(docs...); class != "" {
-			d.typeClass[tn] = class
+		if markedHostSide(docs...) {
+			d.typeHostSide[tn] = true
 		}
 		st, ok := ts.Type.(*ast.StructType)
 		if !ok {
@@ -381,38 +357,30 @@ func (d *Directives) collectTypeClasses(gd *ast.GenDecl, info *types.Info) {
 			if n == 0 {
 				n = 1 // embedded
 			}
-			class := classFrom(f.Doc, f.Comment)
+			marked := markedHostSide(f.Doc, f.Comment)
 			for i := 0; i < n && idx < under.NumFields(); i, idx = i+1, idx+1 {
 				fld := under.Field(idx)
 				d.fieldOwner[fld] = tn
-				if class != "" {
-					d.classes[fld] = class
+				if marked {
+					d.hostSide[fld] = true
 				}
 			}
 		}
 	}
 }
 
-// collectVarClasses records classifications of package-level vars. A
-// marker on the var block's doc comment is the default for every spec in
-// the block, overridable per spec.
+// collectVarClasses records host-side markers of package-level vars. A
+// marker on the var block's doc comment covers every spec in the block.
 func (d *Directives) collectVarClasses(gd *ast.GenDecl, info *types.Info) {
-	blockClass := classFrom(gd.Doc)
+	block := markedHostSide(gd.Doc)
 	for _, spec := range gd.Specs {
 		vs, ok := spec.(*ast.ValueSpec)
-		if !ok {
-			continue
-		}
-		class := classFrom(vs.Doc, vs.Comment)
-		if class == "" {
-			class = blockClass
-		}
-		if class == "" {
+		if !ok || !(block || markedHostSide(vs.Doc, vs.Comment)) {
 			continue
 		}
 		for _, name := range vs.Names {
 			if obj := info.Defs[name]; obj != nil {
-				d.classes[obj] = class
+				d.hostSide[obj] = true
 			}
 		}
 	}

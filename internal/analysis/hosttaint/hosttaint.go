@@ -6,9 +6,12 @@
 // (analysis.SimPackages) that are not classified cryptojack:hostonly or
 // cryptojack:immutable. Flows are tracked through helper returns,
 // struct copies, field paths, and call-graph summaries (the taint
-// engine in internal/analysis/taint.go), superseding the lexical
-// determinism analyzer's blind spots: taint laundered through helpers,
-// struct copies, and return values. Justified host-data destinations
+// engine in internal/analysis/taint.go), which the lexical determinism
+// analyzer cannot follow. It complements determinism rather than
+// replacing it: the engine tracks data flow only, so a host source that
+// decides a branch (`if rand.Intn(2) == 0 { k.nextPid++ }`) reaches
+// state through control dependence and only determinism's ban on the
+// source catches it (EXPERIMENTS.md). Justified host-data destinations
 // (metric timestamps, worker sizing) are classified hostonly rather
 // than suppressed; //lint:ignore hosttaint remains for the exceptional
 // case.

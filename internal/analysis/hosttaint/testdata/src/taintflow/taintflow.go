@@ -13,17 +13,17 @@ import (
 
 // Config is part of the machine's construction surface.
 type Config struct {
-	Name   string // cryptojack:state
-	Budget int    // cryptojack:state
+	Name   string
+	Budget int
 }
 
 // Machine is the simulated unit; its fields are simulation state unless
 // classified hostonly.
 type Machine struct {
-	seed    int64    // cryptojack:state
-	cfg     Config   // cryptojack:state
-	order   []string // cryptojack:state
-	sorted  []string // cryptojack:state
+	seed    int64
+	cfg     Config
+	order   []string
+	sorted  []string
 	index   map[string]int
 	started time.Time // cryptojack:hostonly -- wall-clock metric, never feeds counters
 	workers int       // cryptojack:hostonly -- host worker sizing

@@ -2,10 +2,10 @@
 // machines are constructed or mutated inside a loop, any pointer-like
 // value that ends up reachable from more than one Machine couples the
 // fleet — a write through one machine is visible from another, which
-// breaks per-machine determinism and snapshot isolation. The only
-// legitimately shared structures are the ones on Whitelist (the
-// read-mostly translated-block pool and the fleet-wide microcode tag
-// table); everything else is a diagnostic.
+// breaks per-machine determinism. The only legitimately shared
+// structures are the ones on Whitelist (the read-mostly translated-block
+// pool and the fleet-wide microcode tag table); everything else is a
+// diagnostic.
 //
 // Detection rides the taint engine's provenance summaries
 // (internal/analysis/taint.go) and looks at calls inside for/range
@@ -196,7 +196,7 @@ func (c *checker) checkRetPath(fn *types.Func, pkg *analysis.Package, call *ast.
 				}
 			}
 		case analysis.TagGlobal:
-			if !c.exempt(tag.Obj) {
+			if !c.mp.Dirs.HostSide(tag.Obj) {
 				c.report(call.Pos(), fld, fld.Type())
 			}
 		default: // TagAlloc handled above; TagSource is hosttaint's job
@@ -243,7 +243,7 @@ func (c *checker) sharedOrigin(fn *types.Func, ts analysis.TagSet, loop *loopCtx
 		case analysis.TagParam:
 			return true
 		case analysis.TagGlobal:
-			if !c.exempt(tag.Obj) {
+			if !c.mp.Dirs.HostSide(tag.Obj) {
 				return true
 			}
 		case analysis.TagAlloc:
@@ -266,19 +266,13 @@ func (c *checker) destField(mt types.Type, q string) (*types.Var, bool) {
 		if f == nil {
 			return fld, fld != nil
 		}
-		if c.exempt(f) {
+		if c.mp.Dirs.HostSide(f) {
 			return nil, false
 		}
 		fld = f
 		t = f.Type()
 	}
 	return fld, fld != nil
-}
-
-// exempt reports whether obj is classified hostonly or immutable.
-func (c *checker) exempt(obj types.Object) bool {
-	class, ok := c.mp.Dirs.ClassOf(obj)
-	return ok && (class == analysis.ClassHostonly || class == analysis.ClassImmutable)
 }
 
 func (c *checker) report(pos token.Pos, dest types.Object, vt types.Type) {

@@ -7,28 +7,28 @@ package sharedom
 // Blessed is the fixture's whitelisted shared structure (the test
 // narrows sharecheck.Whitelist to it).
 type Blessed struct {
-	hits map[string]int // cryptojack:state
+	hits map[string]int
 }
 
 // Buffer is mutable and NOT whitelisted: sharing it couples machines.
 type Buffer struct {
-	data []byte // cryptojack:state
+	data []byte
 }
 
 // Config is the construction surface.
 type Config struct {
-	Pool   *Buffer  // cryptojack:state
-	Tables *Blessed // cryptojack:state
-	Name   string   // cryptojack:state
+	Pool   *Buffer
+	Tables *Blessed
+	Name   string
 }
 
 // Machine is the simulated unit.
 type Machine struct {
-	pool   *Buffer  // cryptojack:state
-	tables *Blessed // cryptojack:state
-	local  *Buffer  // cryptojack:state
-	name   string   // cryptojack:state
-	obs    *Buffer  // cryptojack:hostonly -- host-side trace sink
+	pool   *Buffer
+	tables *Blessed
+	local  *Buffer
+	name   string
+	obs    *Buffer // cryptojack:hostonly -- host-side trace sink
 }
 
 // New builds a machine: pool and tables alias the config's pointers,

@@ -4,8 +4,8 @@ import "strings"
 
 // SimPackages is the one shared list of simulation-package path
 // substrings every scoped analyzer derives its default scope from
-// (determinism lexically, hosttaint/statecheck/sharecheck through their
-// Scope variables, and cmd/cryptojacklint's -sim-pkgs flag). These are
+// (determinism lexically, hosttaint/sharecheck through their Scope
+// variables, and cmd/cryptojacklint's -sim-pkgs flag). These are
 // the packages whose mutable state feeds the RSX counter pipeline and
 // whose round barriers extend the serial/parallel bit-identity guarantee
 // to whole fleets (DESIGN.md §5b, FLEET.md); isa and microcode are

@@ -100,11 +100,11 @@ func (t *Tainter) storeSinks(f *taintFn, ev assignEv, sum *TaintSummary, flows *
 
 	// Host-side pruning: a hostonly/immutable link anywhere on the chain
 	// exempts the whole store.
-	if t.hostSide(root) {
+	if t.mp.Dirs.HostSide(root) {
 		return false
 	}
 	for _, fld := range fields {
-		if t.hostSide(fld) {
+		if t.mp.Dirs.HostSide(fld) {
 			return false
 		}
 	}
@@ -132,7 +132,7 @@ func (t *Tainter) storeSinks(f *taintFn, ev assignEv, sum *TaintSummary, flows *
 					changed = true
 				}
 			case TagGlobal:
-				if t.hostSide(tag.Obj) {
+				if t.mp.Dirs.HostSide(tag.Obj) {
 					continue
 				}
 				sink := TaintSink{Param: -1, Field: final, VType: final.Type(), Global: tag.Obj, DestParam: destParam}
@@ -181,7 +181,7 @@ func (t *Tainter) applyCalleeSinks(f *taintFn, call *ast.CallExpr, sum *TaintSum
 							changed = true
 						}
 					case TagGlobal:
-						if t.hostSide(tag.Obj) {
+						if t.mp.Dirs.HostSide(tag.Obj) {
 							continue
 						}
 						s := TaintSink{Param: -1, Field: sink.Field, VType: sink.VType, Global: tag.Obj, DestParam: destParam}
@@ -256,12 +256,6 @@ func (t *Tainter) translateDest(f *taintFn, call *ast.CallExpr, callee *types.Fu
 	return -2
 }
 
-// hostSide reports whether obj is classified hostonly or immutable.
-func (t *Tainter) hostSide(obj types.Object) bool {
-	class, ok := t.mp.Dirs.ClassOf(obj)
-	return ok && (class == ClassHostonly || class == ClassImmutable)
-}
-
 // chainFields resolves a pure chain to its root object plus the field
 // objects along it, outermost last.
 func (t *Tainter) chainFields(f *taintFn, e ast.Expr) (types.Object, []*types.Var, bool) {
@@ -304,9 +298,9 @@ func (t *Tainter) chainFields(f *taintFn, e ast.Expr) (types.Object, []*types.Va
 func (t *Tainter) navigateDest(base types.Object, q string) (types.Object, bool) {
 	cur := base
 	if q == "" {
-		return cur, !t.hostSide(cur)
+		return cur, !t.mp.Dirs.HostSide(cur)
 	}
-	if t.hostSide(cur) {
+	if t.mp.Dirs.HostSide(cur) {
 		return nil, false
 	}
 	typ := cur.Type()
@@ -315,7 +309,7 @@ func (t *Tainter) navigateDest(base types.Object, q string) (types.Object, bool)
 		if fld == nil {
 			return cur, true
 		}
-		if t.hostSide(fld) {
+		if t.mp.Dirs.HostSide(fld) {
 			return nil, false
 		}
 		cur = fld

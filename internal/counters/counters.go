@@ -4,8 +4,6 @@ import "darkarts/internal/isa"
 
 // Bank is one hardware context's counter set. It is written by the core's
 // retirement logic and read by the OS scheduler at context switches.
-//
-//cryptojack:state
 type Bank struct {
 	rsx     uint64
 	retired uint64

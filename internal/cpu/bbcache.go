@@ -61,8 +61,6 @@ const bbLenBuckets = 7
 // are written by the core's own execution goroutine; callers must observe
 // the scheduler's quantum barrier (as the kernel's merge phase does) before
 // reading them for another core.
-//
-//cryptojack:derived
 type BBStats struct {
 	// Hits and Misses count block lookups: a miss decodes and caches a new
 	// block, a hit reuses one.
@@ -80,8 +78,6 @@ type BBStats struct {
 }
 
 // opCount is one per-opcode histogram increment baked into a block.
-//
-//cryptojack:derived
 type opCount struct {
 	op isa.Op
 	n  uint64
@@ -90,8 +86,6 @@ type opCount struct {
 // bbBlock is one decoded basic block with its pre-computed retire effects.
 // It is never written after buildBlock returns: cores and the shared cache
 // alias it freely.
-//
-//cryptojack:derived
 type bbBlock struct {
 	// ops aliases Prog.Code[pc : pc+len] (programs are immutable once
 	// running, so no copy is needed).
@@ -110,8 +104,6 @@ type bbBlock struct {
 
 // blockCache is a core's private translation cache. All state is owned by
 // the core's execution goroutine; the kernel reads stats at quantum merge.
-//
-//cryptojack:derived
 type blockCache struct {
 	progs map[*isa.Program]*progBlocks
 	stats BBStats
@@ -126,8 +118,6 @@ type blockCache struct {
 // under. Generation is tracked per program so a firmware swap only touches
 // programs as they next run: a stale program's table is replaced by a fresh
 // one, other programs keep theirs until they run.
-//
-//cryptojack:derived
 type progBlocks struct {
 	blocks []*bbBlock
 	gen    uint64

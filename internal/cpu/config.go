@@ -31,8 +31,6 @@ func (m Mode) String() string {
 // Table I (4-core out-of-order x86 at 2.0 GHz with the listed cache
 // hierarchy); pipeline-structure parameters not given in the paper use
 // values typical of the era's cores.
-//
-//cryptojack:state
 type Config struct {
 	Cores             int
 	FreqHz            uint64

@@ -8,8 +8,6 @@ import (
 )
 
 // Flags is the architectural condition-code state.
-//
-//cryptojack:state
 type Flags struct {
 	Z bool // zero
 	S bool // sign
@@ -20,8 +18,6 @@ type Flags struct {
 // ArchContext is the software-visible state of a hardware context: what the
 // OS saves and restores on a context switch. The program and its memory
 // region travel with the context.
-//
-//cryptojack:state
 type ArchContext struct {
 	Regs  [isa.NumRegs]uint64
 	Flags Flags

@@ -40,8 +40,6 @@ const tlbMask = 1<<tlbBits - 1
 // the lifetime of the Memory (pages are never replaced until Reset).
 // hits/misses are plain per-core counters (one goroutine per core) read
 // by the kernel's observability layer at quantum merge.
-//
-//cryptojack:derived
 type memTLB struct {
 	tag    [1 << tlbBits]uint64 // page index + 1; 0 = empty
 	pg     [1 << tlbBits]*[mem.PageSize]byte
@@ -50,12 +48,6 @@ type memTLB struct {
 }
 
 // Core is one hardware context of the simulated processor.
-//
-// Classification (statecheck): architectural and timing state is the
-// snapshot surface; the translation caches are rebuildable (derived); the
-// retirement observer is a host-side hook.
-//
-//cryptojack:state
 type Core struct {
 	id   int
 	cfg  Config
@@ -71,13 +63,13 @@ type Core struct {
 
 	observer RetireObserver // cryptojack:hostonly -- host-side retirement hook
 
-	tlb memTLB // cryptojack:derived
+	tlb memTLB
 
 	// bb is the per-core basic-block translation cache (fast mode only;
 	// see bbcache.go). shared, when non-nil, is the fleet-scope decoded-
 	// block cache consulted on local misses (sharedbb.go).
-	bb     blockCache    // cryptojack:derived
-	shared *SharedBlocks // cryptojack:derived -- fleet-scope decode cache, rebuildable
+	bb     blockCache
+	shared *SharedBlocks // fleet-scope decode cache, rebuildable
 
 	// Detailed-mode timing state (see timing.go).
 	tm timing

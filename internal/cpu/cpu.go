@@ -13,8 +13,6 @@ import (
 // cache hierarchy, and the microcode-programmable decoder tag table shared
 // by all cores' decode stages. The table pointer is atomic so firmware
 // updates are safe against cores decoding on other goroutines.
-//
-//cryptojack:state
 type CPU struct {
 	cfg   Config
 	mem   *mem.Memory

@@ -38,8 +38,6 @@ const maxSharedProgs = 256
 // sharedKey identifies one program image decoded under one tag-table
 // generation. A firmware update bumps the generation, naturally retiring
 // the old entries as programs are next decoded.
-//
-//cryptojack:derived
 type sharedKey struct {
 	prog *isa.Program
 	gen  uint64
@@ -67,8 +65,6 @@ type SharedBlocksStats struct {
 //
 // Everything here is a rebuildable decode cache: losing it costs decode
 // work, never correctness (and never the RSX counter stream).
-//
-//cryptojack:derived
 type SharedBlocks struct {
 	// progs holds each (program, generation)'s published blocks, densely
 	// indexed by entry pc (nil = not yet published).

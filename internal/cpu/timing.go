@@ -25,8 +25,6 @@ const (
 )
 
 // robEntry is one re-order buffer slot (Figure 4: instruction, R bit, C bit).
-//
-//cryptojack:state
 type robEntry struct {
 	op      isa.Op
 	rsx     bool   // the R bit, set at decode from the microcode tag table
@@ -34,11 +32,9 @@ type robEntry struct {
 	rawInst isa.Inst
 }
 
-// timing is the detailed engine's microarchitectural state. It is part
-// of the snapshot surface: mid-quantum pipeline occupancy determines the
-// cycle at which every later instruction retires.
-//
-//cryptojack:state
+// timing is the detailed engine's microarchitectural state: mid-quantum
+// pipeline occupancy determines the cycle at which every later
+// instruction retires.
 type timing struct {
 	// rob is a ring buffer of in-flight instructions.
 	rob      []robEntry
@@ -69,8 +65,6 @@ type timing struct {
 }
 
 // PipelineStats are detailed-engine observability counters.
-//
-//cryptojack:derived
 type PipelineStats struct {
 	ROBFullStalls   uint64 // rename stalled on a full re-order buffer
 	FetchRedirects  uint64 // front-end redirects from branch mispredictions
@@ -393,8 +387,6 @@ func hasImmForm(op isa.Op) bool {
 
 // predictor is a gshare conditional predictor plus a return address stack.
 // Direct jumps/calls are always predicted correctly (static targets).
-//
-//cryptojack:state
 type predictor struct {
 	table []uint8 // 2-bit saturating counters
 	mask  uint32

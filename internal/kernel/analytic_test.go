@@ -1,6 +1,7 @@
 package kernel_test
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -321,4 +322,169 @@ func TestFastForwardHorizon(t *testing.T) {
 	if h, ok := off.FastForwardTo(time.Second); !ok || h != kernel.NoHorizon {
 		t.Errorf("monitoring off: FastForwardTo = (%v, %v), want (NoHorizon, true)", h, ok)
 	}
+}
+
+// FuzzFastForward holds fast-forward to per-quantum simulation over
+// fuzzed rate-model populations (Table II apps and miners of either coin,
+// any throttle and thread count, root or not, statically flagged or not,
+// forked into a parent's session or not) and fuzzed tunables, including
+// a period of exactly one time slice. One twin advances each round with
+// FastForwardTo, falling back to RunTo on refusal as the fleet does; the
+// other always runs RunTo. After every round the alert stream, sample
+// count, clock, and counters must match, and an accepted horizon must be
+// the start of the first quantum that crosses a monitored window:
+// NoHorizon exactly when the machine is idle or nothing is monitored,
+// and no alert may land before horizon plus one quantum.
+func FuzzFastForward(f *testing.F) {
+	// Byte order: period quanta-1, period jitter ms, divisor, threshold/1e8-1,
+	// enabled, monitor root, session aggregation; app count, then per app
+	// profile, uid, flag; miner count, then per miner uid, coin, throttle,
+	// threads-1, flag, child; round count-1, then per round 10ms units-1
+	// and jitter ms.
+	f.Add([]byte{}) // idle machine
+	// Apps (one root) and a throttled flagged miner on the paper's threshold.
+	f.Add([]byte{49, 1, 4, 24, 1, 1, 1, 2, 0, 1, 0, 11, 0, 0, 1, 1, 0, 128, 1, 1, 0, 3, 49, 0, 29, 3, 35, 1, 63, 2})
+	// A one-quantum period with two forked miners aggregated per session.
+	f.Add([]byte{0, 0, 4, 5, 1, 0, 0, 1, 0, 1, 0, 2, 1, 1, 0, 1, 0, 1, 2, 0, 64, 0, 1, 1, 2, 9, 2, 0, 1, 20, 0})
+	// More tasks than cores: fast-forward refuses and the twin falls back.
+	f.Add([]byte{255, 3, 2, 0, 1, 0, 1, 3, 4, 0, 1, 7, 1, 0, 14, 2, 1, 2, 1, 0, 0, 3, 0, 0, 0, 1, 255, 2, 1, 0, 4, 63, 0, 63, 1, 10, 2, 5, 3, 40, 0})
+	// Monitoring disabled.
+	f.Add([]byte{10, 0, 0, 24, 0, 0, 0, 1, 0, 1, 0, 1, 1, 0, 0, 2, 0, 0, 2, 20, 1})
+	apps := workload.TableIIApps()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+
+		opts := ffOptions()
+		ts := 4 * time.Millisecond
+		opts.Kernel.TimeSlice = ts
+		tun := &opts.Kernel.Tunables
+		tun.Period = time.Duration(1+next())*ts + time.Duration(next()%4)*time.Millisecond
+		tun.StaticPriorDivisor = uint64(next() % 5)
+		if tun.StaticPriorDivisor > 1 && tun.Period/time.Duration(tun.StaticPriorDivisor) < ts {
+			tun.StaticPriorDivisor = uint64(tun.Period / ts) // shortest valid flagged window
+		}
+		tun.ThresholdPerMin = uint64(1+next()) * 100_000_000
+		tun.Enabled = next()%8 != 0
+		tun.MonitorRoot = next()%4 == 0
+		tun.SessionAggregation = next()%2 == 0
+
+		type spawn struct {
+			app, uid, coin, throttle, threads, flag, child int
+		}
+		var pop []spawn
+		for i, n := 0, next()%4; i < n; i++ {
+			pop = append(pop, spawn{app: 1 + next()%len(apps), uid: next() % 3, flag: next() % 2})
+		}
+		for i, n := 0, next()%3; i < n; i++ {
+			pop = append(pop, spawn{uid: next() % 3, coin: next() % 2, throttle: next(),
+				threads: 1 + next()%4, flag: next() % 2, child: next() % 2})
+		}
+		build := func() *machine.Machine {
+			m, err := machine.New(opts)
+			if err != nil {
+				t.Fatalf("tunables %+v: %v", *tun, err)
+			}
+			k := m.Kernel()
+			var parent *kernel.Task
+			for i, s := range pop {
+				uid := 1000 + i
+				if s.uid == 0 {
+					uid = 0
+				}
+				coin := []miner.Coin{miner.Monero, miner.Zcash}[s.coin]
+				var tasks []*kernel.Task
+				switch {
+				case s.app > 0:
+					tasks = []*kernel.Task{k.Spawn(apps[s.app-1].Name, uid, workload.NewAppWorkload(apps[s.app-1]))}
+					if parent == nil {
+						parent = tasks[0]
+					}
+				case s.child == 1 && parent != nil:
+					tasks = []*kernel.Task{k.SpawnChildProcess(parent, "worker",
+						miner.NewWorkload(coin, float64(s.throttle)/256, s.threads, int64(10+i)))}
+				default:
+					tasks = miner.SpawnMiner(k, coin, float64(s.throttle)/256, s.threads, uid)
+				}
+				if s.flag == 1 {
+					tasks[0].RSX().SetStaticPrior(0.9, true)
+				}
+			}
+			return m
+		}
+		ref, ff := build(), build()
+
+		type horizonAt struct{ now, horizon time.Duration }
+		var horizons []horizonAt
+		end := time.Duration(0)
+		for r, n := 0, 1+next()%6; r < n; r++ {
+			end += time.Duration(1+next()%64)*10*time.Millisecond + time.Duration(next()%4)*time.Millisecond
+			ref.Kernel().RunTo(end)
+			horizon, ok := ff.Kernel().FastForwardTo(end)
+			if !ok {
+				ff.Kernel().RunTo(end)
+			}
+			compareSnaps(t, fmt.Sprintf("round %d to %v (fast-forward accepted: %v)", r, end, ok),
+				ffSnapshot(ff), ffSnapshot(ref))
+			if ok {
+				if want := ffHorizon(ff, ts); horizon != want {
+					t.Errorf("round %d: horizon %v at %v, want %v", r, horizon, ff.Now(), want)
+				}
+				horizons = append(horizons, horizonAt{ff.Now(), horizon})
+			}
+		}
+		for _, h := range horizons {
+			for _, a := range ref.Alerts() {
+				if a.Time > h.now && (h.horizon == kernel.NoHorizon || a.Time < h.horizon+ts) {
+					t.Errorf("alert at %v lands before horizon %v + one %v quantum (fast-forwarded to %v)",
+						a.Time, h.horizon, ts, h.now)
+				}
+			}
+		}
+	})
+}
+
+// ffHorizon derives the fast-forward horizon from window arithmetic alone:
+// every task in the fuzzed population was spawned at time 0, so each
+// monitored accounting structure crosses its window at every multiple of
+// ceil(period/ts) context switches. The horizon is the start of the
+// earliest crossing quantum at or after now, or NoHorizon when nothing
+// runnable is monitored.
+func ffHorizon(m *machine.Machine, ts time.Duration) time.Duration {
+	tun := m.Kernel().Tunables()
+	if !tun.Enabled {
+		return kernel.NoHorizon
+	}
+	n := int64(m.Now() / ts)
+	horizon := kernel.NoHorizon
+	seen := map[*kernel.TgidRSX]bool{}
+	for _, task := range m.Kernel().Tasks() {
+		if task.Exited() || (task.UID == 0 && !tun.MonitorRoot) {
+			continue
+		}
+		groups := []*kernel.TgidRSX{task.RSX()}
+		if tun.SessionAggregation {
+			groups = append(groups, task.Session())
+		}
+		for _, g := range groups {
+			if seen[g] {
+				continue
+			}
+			seen[g] = true
+			period := tun.Period
+			if _, flagged := g.StaticPrior(); flagged && tun.StaticPriorDivisor > 1 {
+				period /= time.Duration(tun.StaticPriorDivisor)
+			}
+			l := int64((period + ts - 1) / ts) // switches per window
+			j := (n+1+l-1)/l*l - 1             // first crossing quantum at or after n
+			horizon = min(horizon, time.Duration(j)*ts)
+		}
+	}
+	return horizon
 }

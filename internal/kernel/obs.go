@@ -26,8 +26,7 @@ var (
 // field is nil and every instrumentation site is one branch.
 //
 // Everything here is host-side telemetry (wall-clock timings, registry
-// handles, per-quantum scratch): none of it is snapshot surface and none
-// of it feeds simulation results.
+// handles, per-quantum scratch): none of it feeds simulation results.
 //
 //cryptojack:hostonly
 type kmetrics struct {

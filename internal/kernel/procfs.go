@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -15,8 +16,6 @@ import (
 // exposes through procfs: "the monitoring period and threshold for a
 // process are dynamically programmable at runtime using kernel tunables
 // that can be updated using procfs" (Section IV-B).
-//
-//cryptojack:state
 type Tunables struct {
 	// ThresholdPerMin is the RSX-instructions-per-minute alert threshold
 	// (paper default: 2.5e9).
@@ -82,11 +81,29 @@ func (t Tunables) flaggedPeriod() time.Duration {
 	return t.Period
 }
 
+// Validate reports whether t can drive detection on a kernel whose
+// scheduler quantum is timeSlice. Windows are judged at context
+// switches, so a window shorter than one quantum has a zero threshold
+// and alerts at an infinite rate; so does a zero threshold. The shortest
+// window is the statically flagged one (flaggedPeriod).
+func (t Tunables) Validate(timeSlice time.Duration) error {
+	switch w := t.flaggedPeriod(); {
+	case t.ThresholdPerMin == 0:
+		return errors.New("threshold must be positive")
+	case t.Period <= 0:
+		return fmt.Errorf("period %v must be positive", t.Period)
+	case w < timeSlice:
+		return fmt.Errorf("a %v monitoring window (period %v, static-prior divisor %d) is shorter than the %v time slice",
+			w, t.Period, t.StaticPriorDivisor, timeSlice)
+	}
+	return nil
+}
+
 // ProcFS is a tiny virtual filesystem exposing the tunables, mirroring
 // /proc/sys/. Paths are fixed: sys/rsx/{threshold_per_min,period_ms,
 // enabled,monitor_root}.
 type ProcFS struct {
-	k *Kernel // cryptojack:derived -- stateless view, rebuilt by New
+	k *Kernel // stateless view, rebuilt by New
 }
 
 // procfs paths.
@@ -154,13 +171,13 @@ func (p *ProcFS) Write(path, value string) error {
 	switch path {
 	case ProcThreshold:
 		v, err := strconv.ParseUint(value, 10, 64)
-		if err != nil || v == 0 {
+		if err != nil {
 			return fmt.Errorf("procfs: %s: invalid threshold %q", path, value)
 		}
 		t.ThresholdPerMin = v
 	case ProcPeriod:
 		ms, err := strconv.ParseInt(value, 10, 64)
-		if err != nil || ms <= 0 || ms > math.MaxInt64/int64(time.Millisecond) {
+		if err != nil || ms > math.MaxInt64/int64(time.Millisecond) {
 			return fmt.Errorf("procfs: %s: invalid period %q", path, value)
 		}
 		t.Period = time.Duration(ms) * time.Millisecond
@@ -191,11 +208,8 @@ func (p *ProcFS) Write(path, value string) error {
 	default:
 		return fmt.Errorf("procfs: no such file %q", path)
 	}
-	// Windows are judged at context switches: one shorter than a quantum
-	// has a zero threshold and alerts at an infinite rate.
-	if w := t.flaggedPeriod(); (path == ProcPeriod || path == ProcStaticDiv) && w < p.k.cfg.TimeSlice {
-		return fmt.Errorf("procfs: %s: %q leaves a %v window, shorter than the %v time slice",
-			path, value, w, p.k.cfg.TimeSlice)
+	if err := t.Validate(p.k.cfg.TimeSlice); err != nil {
+		return fmt.Errorf("procfs: %s: %q: %w", path, value, err)
 	}
 	p.k.tunables = t
 	if p.k.om != nil {

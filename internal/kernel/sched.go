@@ -23,8 +23,6 @@ const (
 )
 
 // Alert is a cryptojacking detection event (Figure 3, step 4).
-//
-//cryptojack:state
 type Alert struct {
 	Time       time.Duration `json:"time"` // simulated time of the alert
 	Pid        int           `json:"pid"`
@@ -47,8 +45,6 @@ func (a Alert) String() string {
 }
 
 // Config configures the simulated kernel.
-//
-//cryptojack:state
 type Config struct {
 	// TimeSlice is the scheduler quantum (default 4ms, CFS-ish).
 	TimeSlice time.Duration
@@ -92,8 +88,6 @@ func DefaultConfig() Config {
 }
 
 // placement is one planned time slice: task runs on core this quantum.
-//
-//cryptojack:derived
 type placement struct {
 	core int
 	task *Task
@@ -109,13 +103,6 @@ type placement struct {
 // the accessors take the same lock. Serial and parallel quanta differ only
 // in which goroutines run each core's slices; the merge and the alert
 // delivery that follows it are the same path in both modes.
-//
-// Classification (statecheck): the snapshot surface is the machine, task,
-// window, and virtual-clock state; quantum scratch is reconstructible
-// between quanta (derived); the work-stealing pool and observability
-// handles are host-side only.
-//
-//cryptojack:state
 type Kernel struct {
 	machine  *cpu.CPU
 	cfg      Config
@@ -134,25 +121,25 @@ type Kernel struct {
 	coreLast []uint64      // last RSX counter reading per core
 
 	alerts  []Alert     // guarded by mu
-	onAlert func(Alert) // cryptojack:hostonly -- re-registered by the owner, not snapshotable
-	procfs  *ProcFS     // cryptojack:derived -- view over the kernel, rebuilt by New
+	onAlert func(Alert) // cryptojack:hostonly -- re-registered by the owner
+	procfs  *ProcFS     // view over the kernel, rebuilt by New
 	// samples counts context-switch housekeeping invocations (for the
 	// overhead model).
 	samples uint64 // guarded by mu
 
 	// mu guards tasks, runq, alerts, samples, now, tunables, and all
 	// TgidRSX window state against the concurrent accessors above.
-	mu sync.Mutex // cryptojack:derived
+	mu sync.Mutex
 
 	// Quantum scratch state, reused to keep the scheduler allocation-free.
-	plan []placement // cryptojack:derived
+	plan []placement
 	// coreStart[c] is the index of core c's first slice in plan: buildPlan
 	// packs core by core, so core c runs plan[coreStart[c]:coreStart[c+1]].
-	coreStart []int    // cryptojack:derived
-	deltas    []uint64 // cryptojack:derived -- per-plan-entry RSX deltas measured during execution
+	coreStart []int
+	deltas    []uint64 // per-plan-entry RSX deltas measured during execution
 	// ffScratch snapshots the ready queue while fast-forward eligibility is
 	// probed, so an ineligible probe can restore the queue exactly.
-	ffScratch []*Task // cryptojack:derived
+	ffScratch []*Task
 
 	// Work-stealing execute phase: claim hands out core indices; thieves
 	// and the scheduler goroutine each take a core at a time and run its
@@ -169,7 +156,10 @@ type Kernel struct {
 	om *kmetrics // cryptojack:hostonly
 }
 
-// New returns a kernel managing the given machine.
+// New returns a kernel managing the given machine. A zero TimeSlice
+// selects 4ms and a zero Period selects DefaultTunables. New does not
+// check the tunables: the caller must pass ones that satisfy
+// Tunables.Validate for the resolved time slice, as machine.New does.
 func New(machine *cpu.CPU, cfg Config) *Kernel {
 	if cfg.TimeSlice <= 0 {
 		cfg.TimeSlice = 4 * time.Millisecond
@@ -196,6 +186,9 @@ func New(machine *cpu.CPU, cfg Config) *Kernel {
 // disabled). The registry's render methods are safe to call while the
 // simulation runs.
 func (k *Kernel) Obs() *obs.Registry { return k.cfg.Obs }
+
+// TimeSlice returns the scheduler quantum.
+func (k *Kernel) TimeSlice() time.Duration { return k.cfg.TimeSlice }
 
 // ProcFS returns the tunables filesystem.
 func (k *Kernel) ProcFS() *ProcFS { return k.procfs }

@@ -11,8 +11,6 @@ import (
 // every thread in a thread group so that mining work split across threads
 // still aggregates into a single count. The counters are atomic, mirroring
 // the kernel's refcount_t semantics.
-//
-//cryptojack:state
 type TgidRSX struct {
 	rsxCount atomic.Uint64 // cumulative RSX instructions across the group
 	tcount   atomic.Int64  // live threads referencing this structure
@@ -100,8 +98,6 @@ func shareOf(t *Task) float64 {
 // Task is the simulated task_struct. Threads created with CloneThread share
 // the parent's Tgid and RSX pointer (Listing 2); new processes get a fresh
 // thread group.
-//
-//cryptojack:state
 type Task struct {
 	Pid  int
 	Tgid int

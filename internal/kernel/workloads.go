@@ -11,8 +11,6 @@ import (
 // ISAWorkload runs a real program on the simulated CPU. The slice's
 // instruction budget is derived from the core frequency and a nominal IPC
 // of 1 (fast mode accounts one cycle per instruction).
-//
-//cryptojack:state
 type ISAWorkload struct {
 	ctx    *cpu.ArchContext
 	freqHz uint64
@@ -67,8 +65,6 @@ func (w *ISAWorkload) Done() bool {
 // FuncWorkload adapts a function to the Workload interface; used by tests
 // and by simple synthetic tasks. The function receives the core and slice
 // and returns true when the workload has finished.
-//
-//cryptojack:state
 type FuncWorkload struct {
 	F        func(core *cpu.Core, d time.Duration) bool // cryptojack:hostonly -- host closure, re-supplied on restore
 	finished bool

@@ -59,8 +59,6 @@ func DefaultOptions() Options {
 // A Machine must be driven (Run/RunUntilAlert) from one goroutine at a
 // time; the kernel's copy-on-read accessors (Alerts, Tasks, Now, procfs
 // reads) stay safe to call concurrently with a running simulation.
-//
-//cryptojack:state
 type Machine struct {
 	id   int
 	cpu  *cpu.CPU
@@ -70,6 +68,8 @@ type Machine struct {
 }
 
 // New builds and wires one machine: hardware, firmware tag table, kernel.
+// It refuses tunables that fail kernel.Tunables.Validate for the
+// kernel's time slice.
 func New(opts Options) (*Machine, error) {
 	c, err := cpu.New(opts.CPU)
 	if err != nil {
@@ -87,6 +87,9 @@ func New(opts Options) (*Machine, error) {
 		return nil, fmt.Errorf("machine: %w", err)
 	}
 	k := kernel.New(c, opts.Kernel)
+	if err := k.Tunables().Validate(k.TimeSlice()); err != nil {
+		return nil, fmt.Errorf("machine: tunables: %w", err)
+	}
 	return &Machine{id: opts.ID, cpu: c, kern: k, nextBase: 0x1000_0000}, nil
 }
 

@@ -109,6 +109,33 @@ func TestMachineBadTagSet(t *testing.T) {
 	}
 }
 
+// TestMachineRejectsBadTunables: construction refuses the tunables procfs
+// would refuse, judged against the kernel's resolved time slice.
+func TestMachineRejectsBadTunables(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		set  func(*Options)
+		ok   bool
+	}{
+		{"zero period selects defaults", func(o *Options) { o.Kernel.Tunables = kernel.Tunables{} }, true},
+		{"flagged window of one slice", func(o *Options) { o.Kernel.Tunables.Period = 16 * time.Millisecond }, true},
+		{"flagged window under a slice", func(o *Options) { o.Kernel.Tunables.Period = 15 * time.Millisecond }, false},
+		{"period under a slice", func(o *Options) {
+			o.Kernel.Tunables.Period = time.Millisecond
+			o.Kernel.Tunables.StaticPriorDivisor = 0
+		}, false},
+		{"period under a custom slice", func(o *Options) { o.Kernel.TimeSlice = time.Second }, false},
+		{"zero threshold", func(o *Options) { o.Kernel.Tunables.ThresholdPerMin = 0 }, false},
+	} {
+		opts := testOptions()
+		tc.set(&opts)
+		_, err := New(opts)
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: New error = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+}
+
 // TestMachineProcFS: the per-machine tunables surface works through the
 // unit wrapper.
 func TestMachineProcFS(t *testing.T) {

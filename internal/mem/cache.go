@@ -13,8 +13,6 @@ const (
 )
 
 // CacheConfig describes one cache level.
-//
-//cryptojack:state
 type CacheConfig struct {
 	Name      string
 	SizeBytes int
@@ -43,7 +41,6 @@ func (c CacheConfig) Validate() error {
 	return nil
 }
 
-//cryptojack:state
 type cacheLine struct {
 	tag   uint64
 	state mesiState
@@ -53,8 +50,6 @@ type cacheLine struct {
 // cache is a set-associative tag store. It models timing/occupancy only; the
 // data itself always lives in Memory (simulator cores interleave, so this is
 // exact for the counter stream the defense observes).
-//
-//cryptojack:state
 type cache struct {
 	cfg      CacheConfig
 	sets     [][]cacheLine
@@ -167,8 +162,6 @@ func (c *cache) state(addr uint64) mesiState {
 
 // HierarchyConfig configures the full memory system (per-core L1I/L1D,
 // shared L2, DRAM latency). Defaults mirror the paper's Table I.
-//
-//cryptojack:state
 type HierarchyConfig struct {
 	L1I, L1D, L2 CacheConfig
 	DRAMLatency  int // cycles
@@ -204,8 +197,6 @@ func (h HierarchyConfig) Validate() error {
 // Hierarchy is the timing model for a multi-core cache system: one L1I and
 // L1D per core, one shared inclusive-enough L2, and a snooping MESI-lite
 // protocol between the L1Ds.
-//
-//cryptojack:state
 type Hierarchy struct {
 	cfg  HierarchyConfig
 	l1i  []*cache

@@ -24,10 +24,8 @@ const pageSize = PageSize
 // kernel guarantees a task occupies at most one core per quantum and
 // tasks own disjoint regions, so concurrent cores never touch the same
 // addresses. Reset must not be called while cores are executing.
-//
-//cryptojack:state
 type Memory struct {
-	mu    sync.RWMutex               // cryptojack:derived
+	mu    sync.RWMutex
 	pages map[uint64]*[pageSize]byte // guarded by mu
 }
 

@@ -11,8 +11,7 @@ import (
 
 // tableGen hands out the per-table generation numbers. A plain counter —
 // not host time, not randomness — so runs stay reproducible; uniqueness
-// is all consumers need. Generation values are cache-identity tags, not
-// snapshot surface (a restored run re-allocates them).
+// is all consumers need. Generation values are cache-identity tags only.
 //
 //cryptojack:hostonly
 var tableGen atomic.Uint64
@@ -28,7 +27,7 @@ var tableGen atomic.Uint64
 // instead of a table diff.
 type TagTable struct {
 	name string           // cryptojack:immutable
-	gen  uint64           // cryptojack:derived -- cache-identity tag, re-assigned on rebuild
+	gen  uint64           // cache-identity tag, re-assigned on rebuild
 	tags [isa.NumOps]bool // cryptojack:immutable
 }
 
