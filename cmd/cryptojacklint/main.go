@@ -1,9 +1,8 @@
 // Command cryptojacklint is the reproduction's invariant linter: it runs
 // the internal/analysis suite (determinism, locksetflow, lockorder,
-// atomiccheck, hotpath, exhaustivedecode, ctrange, hosttaint, sharecheck)
-// over the module and reports every violation of the simulator's
-// machine-checked conventions. All analyzers share one
-// type-checked load of the module; the module-wide analyzers
+// hotpath, hosttaint, sharecheck) over the module and reports every
+// violation of the simulator's machine-checked conventions. All analyzers
+// share one type-checked load of the module; the module-wide analyzers
 // additionally share one call graph and one taint fixpoint. `make lint`
 // wires it into the tier-1 gate; DESIGN.md §5d/§5g catalogue the
 // analyzers and their annotation syntax.
@@ -11,8 +10,7 @@
 // Usage:
 //
 //	cryptojacklint [-only names] [-sim-pkgs substrings]
-//	               [-ctrange-pkgs substrings] [-budget duration]
-//	               [-time] [-list] [patterns]
+//	               [-budget duration] [-time] [-list] [patterns]
 //
 // Patterns default to ./... (the whole module). Exit status is 1 when any
 // finding is reported or the -budget wall-clock ceiling is exceeded, 2 on
@@ -28,10 +26,7 @@ import (
 	"time"
 
 	"darkarts/internal/analysis"
-	"darkarts/internal/analysis/atomiccheck"
-	"darkarts/internal/analysis/ctrange"
 	"darkarts/internal/analysis/determinism"
-	"darkarts/internal/analysis/exhaustivedecode"
 	"darkarts/internal/analysis/hosttaint"
 	"darkarts/internal/analysis/hotpath"
 	"darkarts/internal/analysis/lockorder"
@@ -49,11 +44,6 @@ import (
 // elsewhere (CLI rendering, experiments) cannot break either guarantee.
 var simPackagesDefault = analysis.SimScopeDefault()
 
-// ctrangePackagesDefault scopes the value-range analyzer to the packages
-// doing counter arithmetic; range reasoning about CLI or experiment code
-// would only produce noise.
-const ctrangePackagesDefault = "internal/counters,internal/kernel"
-
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
@@ -65,8 +55,6 @@ func run(args []string, stdout, stderr *os.File) int {
 		only    = fs.String("only", "", "comma-separated analyzer names to run (default: all)")
 		simPkgs = fs.String("sim-pkgs", simPackagesDefault,
 			"comma-separated package-path substrings the determinism analyzer is scoped to")
-		ctrangePkgs = fs.String("ctrange-pkgs", ctrangePackagesDefault,
-			"comma-separated package-path substrings the ctrange analyzer is scoped to")
 		budget = fs.Duration("budget", 0,
 			"fail when the whole run (load + analyzers) exceeds this wall-clock ceiling")
 		timing = fs.Bool("time", false, "report per-analyzer wall time on stderr")
@@ -80,10 +68,7 @@ func run(args []string, stdout, stderr *os.File) int {
 		determinism.Analyzer,
 		locksetflow.Analyzer,
 		lockorder.Analyzer,
-		atomiccheck.Analyzer,
 		hotpath.Analyzer,
-		exhaustivedecode.Analyzer,
-		ctrange.Analyzer,
 		hosttaint.Analyzer,
 		sharecheck.Analyzer,
 	}
@@ -154,17 +139,13 @@ func run(args []string, stdout, stderr *os.File) int {
 		return 2
 	}
 
-	// Package-scoped analyzers: everything else runs everywhere.
-	scopes := map[string][]string{
-		determinism.Analyzer.Name: strings.Split(*simPkgs, ","),
-		ctrange.Analyzer.Name:     strings.Split(*ctrangePkgs, ","),
-	}
+	// determinism is the one package-scoped analyzer: everything else
+	// runs everywhere.
 	filter := func(a *analysis.Analyzer, pkgPath string) bool {
-		scope, scoped := scopes[a.Name]
-		if !scoped {
+		if a != determinism.Analyzer {
 			return true
 		}
-		for _, s := range scope {
+		for _, s := range simScope {
 			if s = strings.TrimSpace(s); s != "" && strings.Contains(pkgPath, s) {
 				return true
 			}

@@ -25,7 +25,7 @@ func buildLint(t *testing.T) string {
 // analyzer, the //lint:ignore site absent, exit status 1.
 func TestVictimFixture(t *testing.T) {
 	bin := buildLint(t)
-	cmd := exec.Command(bin, "-sim-pkgs=victim", "-ctrange-pkgs=victim", "testdata/src/victim")
+	cmd := exec.Command(bin, "-sim-pkgs=victim", "testdata/src/victim")
 	var stdout, stderr bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &stdout, &stderr
 
@@ -48,7 +48,9 @@ func TestVictimFixture(t *testing.T) {
 }
 
 // TestAnnotatedTreeClean is the acceptance gate in test form: the whole
-// annotated module must lint clean with all nine analyzers.
+// annotated module must lint clean with all six analyzers. The Makefile's
+// test and race targets skip it: `make lint` runs the same whole-module
+// lint once, under a wall-clock budget.
 func TestAnnotatedTreeClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-module lint is a few seconds; skipped in -short")
@@ -73,9 +75,8 @@ func TestListFlag(t *testing.T) {
 		t.Fatalf("cryptojacklint -list: %v\n%s", err, out)
 	}
 	for _, name := range []string{
-		"determinism", "locksetflow", "lockorder", "atomiccheck",
-		"hotpath", "exhaustivedecode", "ctrange", "hosttaint",
-		"sharecheck",
+		"determinism", "locksetflow", "lockorder", "hotpath",
+		"hosttaint", "sharecheck",
 	} {
 		if !bytes.Contains(out, []byte(name)) {
 			t.Errorf("-list output missing analyzer %q:\n%s", name, out)

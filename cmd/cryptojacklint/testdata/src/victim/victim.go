@@ -1,19 +1,19 @@
-// Package victim is the cryptojacklint end-to-end fixture: a package with
-// one seeded violation per analyzer (plus one suppressed site), used by
-// the cmd test to golden-diff the binary's diagnostics and exit code.
+// Package victim is the cryptojacklint end-to-end fixture: seeded
+// violations for every analyzer, one suppressed site and clean twins,
+// which the cmd test golden-diffs against the binary's diagnostics.
 package victim
 
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
+// miner carries the guarded counters of the locksetflow seeds below.
 type miner struct {
 	mu     sync.Mutex
 	shares uint64 // guarded by mu
-	hashes uint64
+	hashes uint64 // guarded by mu
 }
 
 // Stamp seeds a determinism violation: wall-clock time in simulation state.
@@ -33,20 +33,20 @@ func (m *miner) AddShare() {
 	m.mu.Unlock()
 }
 
-// AddHash uses the atomic API for hashes...
+// AddHash records one hash attempt under the lock.
 func (m *miner) AddHash() {
-	atomic.AddUint64(&m.hashes, 1)
+	m.mu.Lock()
+	m.hashes++
+	m.mu.Unlock()
 }
 
-// Hashes seeds an atomiccheck violation: ...but reads it plainly here.
-func (m *miner) Hashes() uint64 {
-	return m.hashes
-}
-
-// HashesSettled is the suppressed counterpart: the binary must honour
-// //lint:ignore and report nothing for this line.
+// HashesSettled is the suppressed site: a guarded read without the
+// lock, which locksetflow reports, under a //lint:ignore that the
+// binary must honour, so nothing is reported for this line. The
+// justification names why the read is safe: the pool that writes
+// hashes has drained by the time anyone settles the count.
 func (m *miner) HashesSettled() uint64 {
-	//lint:ignore atomiccheck read happens after the worker pool has drained
+	//lint:ignore locksetflow read happens after the worker pool has drained
 	return m.hashes
 }
 
@@ -109,34 +109,34 @@ func Reconcile() {
 	led.mu.Unlock()
 }
 
-type stage uint8
+// op is one decoded instruction of the basic-block seeds below.
+type op uint8
 
-const (
-	stageFetch stage = iota
-	stageDecode
-	stageExecute
-)
-
-// Advance seeds an exhaustivedecode violation: the switch handles two of
-// the three pipeline stages and has no default.
-func Advance(s stage) stage {
-	switch s {
-	case stageFetch:
-		return stageDecode
-	case stageDecode:
-		return stageExecute
+// countRSX is the clean hotpath counterpart of growBlock: it scans a
+// decoded block the way the interpreter's dispatch loop does, without
+// allocating, formatting or locking, so the binary must report nothing
+// here. A hotpath false positive on loops, comparisons or counter
+// increments would show up in the golden file as an extra line.
+//
+//cryptojack:hotpath
+func countRSX(block []op, rsx op) uint64 {
+	var n uint64
+	for _, o := range block {
+		if o == rsx {
+			n++
+		}
 	}
-	return stageFetch
+	return n
 }
 
-// Throttle seeds a ctrange violation: a 32-bit accumulator fed full-range
-// 32-bit samples wraps long before the monitoring window closes.
-func Throttle(samples []uint32) uint32 {
-	var acc uint32
-	for _, s := range samples {
-		acc += s
-	}
-	return acc
+// Total is the clean locksetflow counterpart of Coins: the same guarded
+// read, but mu is taken unconditionally, so it is held on every path to
+// the access and the binary must report nothing here. It also adds no
+// lock-order edge: vault.mu is never held together with another lock.
+func (v *vault) Total() uint64 {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.coins
 }
 
 // growBlock seeds a hotpath allocation violation in the style of a
@@ -144,7 +144,7 @@ func Throttle(samples []uint32) uint32 {
 // instead of building the block on the coldpath miss.
 //
 //cryptojack:hotpath
-func growBlock(block []stage, s stage) []stage {
+func growBlock(block []op, s op) []op {
 	return append(block, s)
 }
 
@@ -205,7 +205,7 @@ func Settle() uint64 {
 // Drain seeds the suppression audit's malformed leg: an analyzer list
 // with no justification.
 func Drain() uint64 {
-	//lint:ignore atomiccheck
+	//lint:ignore locksetflow
 	return 0
 }
 

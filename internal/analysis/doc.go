@@ -8,8 +8,9 @@
 // conventions — the plan→execute→merge quantum must stay bit-identical to
 // serial execution, "guarded by" fields must only be touched under their
 // mutex, and the interpreter hot path must stay allocation- and lock-free.
-// The analyzers under internal/analysis/... (determinism, locksetflow,
-// atomiccheck, hotpath, ...) turn those conventions into machine-checked
-// invariants; cmd/cryptojacklint is the multichecker that runs them, and
-// DESIGN.md §5d catalogues the annotation syntax each one consumes.
+// The six analyzers under internal/analysis/... (determinism,
+// locksetflow, lockorder, hotpath, hosttaint, sharecheck) turn those
+// conventions into machine-checked invariants; cmd/cryptojacklint is the
+// multichecker that runs them, and DESIGN.md §5d catalogues the
+// annotation syntax each one consumes.
 package analysis

@@ -1,9 +1,13 @@
 package fleet
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"darkarts/internal/isa"
+	"darkarts/internal/workload"
 )
 
 // Static admission policy tests: the gsa profile travels through Submit's
@@ -25,6 +29,28 @@ func TestCatalogIncludesMiners(t *testing.T) {
 		}
 		if !found {
 			t.Errorf("catalog missing %q (have %v)", want, names)
+		}
+	}
+}
+
+// TestCatalogCryptoProgramsAreBaked pins the catalog's crypto entries to
+// the workload package's baked-input programs, whose simulated digests
+// internal/workload's TestCryptoProgramsMatchReference checks against the
+// native references.
+func TestCatalogCryptoProgramsAreBaked(t *testing.T) {
+	f, err := New(testConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.ensureCatalog()
+	for name, build := range map[string]func() *isa.Program{
+		"sha256":  workload.SHA2Program,
+		"keccak":  workload.SHA3Program,
+		"aes":     workload.AESProgram,
+		"blake2b": workload.Blake2bProgram,
+	} {
+		if !reflect.DeepEqual(f.catalog[name], build()) {
+			t.Errorf("catalog %q is not workload's baked %s program", name, build().Name)
 		}
 	}
 }

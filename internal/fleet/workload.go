@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"darkarts/internal/cryptoalg"
 	"darkarts/internal/gsa"
 	"darkarts/internal/isa"
 	"darkarts/internal/miner"
@@ -114,18 +113,16 @@ func (f *Fleet) Catalog() []string {
 
 // ensureCatalog builds the shared program images once and statically
 // analyzes each; concurrent callers (API handlers, Submit) synchronize on
-// the Once and the maps are immutable afterwards.
+// the Once and the maps are immutable afterwards. The crypto entries are
+// the workload package's baked-input programs: each hashes a whole
+// message per run, then halts and restarts.
 func (f *Fleet) ensureCatalog() {
 	f.catalogOnce.Do(func() {
-		sha, _ := cryptoalg.BuildSHA256Program(4)
-		kec, _ := cryptoalg.BuildKeccakHashProgram(4)
-		aes, _ := cryptoalg.BuildAESProgram(make([]byte, 16), 4)
-		bla, _ := cryptoalg.BuildBlake2bProgram(32, 4)
 		f.catalog = map[string]*isa.Program{
-			"sha256":  sha,
-			"keccak":  kec,
-			"aes":     aes,
-			"blake2b": bla,
+			"sha256":  workload.SHA2Program(),
+			"keccak":  workload.SHA3Program(),
+			"aes":     workload.AESProgram(),
+			"blake2b": workload.Blake2bProgram(),
 			"xmr-isa": workload.XMRMinerProgram(),
 			"zec-isa": workload.ZecMinerProgram(),
 		}

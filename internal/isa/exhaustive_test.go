@@ -1,9 +1,8 @@
-// The runtime twin of the exhaustivedecode analyzer: the static check
-// proves every switch over Op handles every opcode, and this test proves
-// the data tables do too — every opcode has a mnemonic, every opcode is
+// Opcode-table completeness: every opcode has a mnemonic, every opcode is
 // either classified or on the explicit no-class list, and the RSX/RSXO
 // tag tables decide every opcode exactly as the class masks say. A new
 // opcode that misses a table fails here on the same commit that adds it.
+// No static check covers switches over Op; each one carries a default.
 package isa_test
 
 import (

@@ -244,8 +244,7 @@ func TestISAWorkloadRestartMatchesNewContext(t *testing.T) {
 	aes, aesLay := cryptoalg.BuildAESProgram(make([]byte, 16), 4)
 	bla, blaLay := cryptoalg.BuildBlake2bProgram(32, 4)
 	progs := []*isa.Program{
-		// The fleet catalog images as loaded: zero blocks, halt in 8–11
-		// instructions.
+		// Unbaked images: zero blocks, halt in 8–11 instructions.
 		sha, kec, aes, bla,
 		// The same kernels with one block baked in: real rounds that
 		// rewrite their state in the data region before halting.

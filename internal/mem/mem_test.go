@@ -152,6 +152,22 @@ func TestHierarchyModifiedSnoop(t *testing.T) {
 	}
 }
 
+// TestHierarchySharedReaders pins the snoop's Shared leg: a third reader
+// that finds only Shared copies elsewhere must fill Shared too, not
+// Exclusive (which would let its next store skip the invalidations).
+func TestHierarchySharedReaders(t *testing.T) {
+	h, _ := NewHierarchy(DefaultHierarchyConfig(), 3)
+	addr := uint64(0xB000)
+	for core := 0; core < 3; core++ {
+		h.LoadLatency(core, addr)
+	}
+	for core, l1 := range h.l1d {
+		if st := l1.state(addr); st != mesiShared {
+			t.Errorf("core %d holds the line in state %d, want Shared (%d)", core, st, mesiShared)
+		}
+	}
+}
+
 func TestHierarchyFetchPath(t *testing.T) {
 	h, _ := NewHierarchy(DefaultHierarchyConfig(), 1)
 	cold := h.FetchLatency(0, 0)

@@ -1,7 +1,10 @@
 package miner
 
 import (
+	"fmt"
 	"math"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -192,6 +195,73 @@ func TestPoolEndToEnd(t *testing.T) {
 	}
 }
 
+func TestPoolManyConcurrentMiners(t *testing.T) {
+	// Distributed-substrate stress: several miner clients hammer one pool
+	// concurrently; accounting must stay consistent and the chain valid.
+	pow := SHA256d{}
+	pool := NewPool(pow, 1<<58, 1<<60)
+	addr, err := pool.Serve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+
+	const nMiners = 6
+	var wg sync.WaitGroup
+	errs := make(chan error, nMiners)
+	var accepted [nMiners]int
+	for m := 0; m < nMiners; m++ {
+		wg.Add(1)
+		go func(m int) {
+			defer wg.Done()
+			client, err := DialPool(addr)
+			if err != nil {
+				errs <- err
+				return
+			}
+			defer client.Close()
+			for round := 0; round < 3; round++ {
+				job, err := client.GetJob()
+				if err != nil {
+					errs <- fmt.Errorf("miner %d: %w", m, err)
+					return
+				}
+				nonce, found := Mine(pow, job.Header, uint64(m)<<32, 1<<15)
+				if !found {
+					continue
+				}
+				ok, err := client.Submit(job.ID, nonce)
+				if err != nil {
+					errs <- fmt.Errorf("miner %d submit: %w", m, err)
+					return
+				}
+				if ok {
+					accepted[m]++
+				}
+			}
+		}(m)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	stats := pool.Stats()
+	var total int
+	for _, a := range accepted {
+		total += a
+	}
+	if uint64(total) != stats.SharesAccepted {
+		t.Errorf("client-side accepted %d != pool-side %d", total, stats.SharesAccepted)
+	}
+	if stats.SharesAccepted == 0 {
+		t.Error("no shares accepted across 6 miners")
+	}
+	if err := pool.Chain().Verify(); err != nil {
+		t.Errorf("chain invalid after concurrent mining: %v", err)
+	}
+}
+
 func TestCoinRatesMatchPaper(t *testing.T) {
 	// Section VI-E: "Monero has an RSX rate of 5.7B instructions per min".
 	if rate := RSXPerMinute(Monero) / 1e9; math.Abs(rate-5.69) > 0.1 {
@@ -238,6 +308,74 @@ func newKernel(t *testing.T, period time.Duration) *kernel.Kernel {
 	kcfg := kernel.DefaultConfig()
 	kcfg.Tunables.Period = period
 	return kernel.New(machine, kcfg)
+}
+
+// TestDetectionAtPaperWindow runs miners under the paper's deployment
+// tunables (one-minute window, 2.5B RSX/min) rather than the shortened
+// windows of the tests below. A full-speed Monero miner retires ~5.7B RSX
+// instructions per window, past 2^32, so a window sum or counter narrowed
+// to 32 bits anywhere on the path wraps below the threshold and the alert
+// is lost. Each case runs once per quantum (RunTo, metrics attached) and
+// once analytically (FastForwardTo with no registry, as the fleet runs
+// it); both must raise the same alerts.
+func TestDetectionAtPaperWindow(t *testing.T) {
+	cases := []struct {
+		throttle  float64
+		threads   int
+		alert     bool
+		past32bit bool
+	}{
+		{throttle: 0, threads: 1, alert: true, past32bit: true},
+		{throttle: 0, threads: 4, alert: true, past32bit: true},
+		{throttle: 0.52, threads: 1, alert: true},
+		{throttle: 0.90, threads: 1},
+	}
+	const end = 61 * time.Second
+	for _, c := range cases {
+		t.Run(fmt.Sprintf("t%.2f/x%d", c.throttle, c.threads), func(t *testing.T) {
+			run := func(fastForward bool) []kernel.Alert {
+				machine, err := cpu.New(cpu.DefaultConfig())
+				if err != nil {
+					t.Fatal(err)
+				}
+				kcfg := kernel.DefaultConfig()
+				if fastForward {
+					kcfg.Obs = nil
+				}
+				k := kernel.New(machine, kcfg)
+				SpawnMiner(k, Monero, c.throttle, c.threads, 1000)
+				if !fastForward {
+					k.RunTo(end)
+				} else if _, ok := k.FastForwardTo(end); !ok {
+					t.Fatal("FastForwardTo refused a rate-model miner on an uninstrumented kernel")
+				}
+				return k.Alerts()
+			}
+			stepped, analytic := run(false), run(true)
+			if !reflect.DeepEqual(stepped, analytic) {
+				t.Fatalf("RunTo alerts %+v != FastForwardTo alerts %+v", stepped, analytic)
+			}
+			if !c.alert {
+				if len(stepped) != 0 {
+					t.Fatalf("%.0f%%-throttled miner alerted: %+v", c.throttle*100, stepped)
+				}
+				return
+			}
+			if len(stepped) != 1 {
+				t.Fatalf("got %d alerts in %s, want 1: %+v", len(stepped), end, stepped)
+			}
+			a := stepped[0]
+			if a.Time != time.Minute {
+				t.Errorf("alert at %s, want at the first window close (1m0s)", a.Time)
+			}
+			if a.RSXInWin <= 2_500_000_000 {
+				t.Errorf("RSXInWin = %d, not above the 2.5B threshold", a.RSXInWin)
+			}
+			if c.past32bit && a.RSXInWin <= math.MaxUint32 {
+				t.Errorf("RSXInWin = %d, want a window sum past 2^32 (~5.7e9)", a.RSXInWin)
+			}
+		})
+	}
 }
 
 func TestMinerDetectedAt30PercentThrottle(t *testing.T) {

@@ -19,11 +19,6 @@ type CryptoNightLite struct {
 	Iterations int
 }
 
-// DefaultCryptoNight returns the lite parameters used across the repo.
-func DefaultCryptoNight() *CryptoNightLite {
-	return &CryptoNightLite{ScratchKB: 64, Iterations: 4096}
-}
-
 // Name implements PoW.
 func (c *CryptoNightLite) Name() string {
 	return fmt.Sprintf("cryptonight-lite/%dKB/%d", c.ScratchKB, c.Iterations)

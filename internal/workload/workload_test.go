@@ -1,10 +1,12 @@
 package workload
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
 	"darkarts/internal/cpu"
+	"darkarts/internal/cryptoalg"
 	"darkarts/internal/isa"
 	"darkarts/internal/kernel"
 	"darkarts/internal/microcode"
@@ -269,3 +271,75 @@ func TestSPECWorkloadUnderKernelStaysQuiet(t *testing.T) {
 }
 
 var _ = isa.NOP // import anchor
+
+// TestCryptoProgramsMatchReference runs each baked crypto workload (the
+// fleet catalog's sha256, keccak, aes and blake2b entries) once to HALT on
+// the simulated CPU and checks its output against cryptoalg's native Go
+// reference over the same input. A program whose input or block count was
+// never baked halts after a handful of instructions without hashing.
+func TestCryptoProgramsMatchReference(t *testing.T) {
+	shaMsg := deterministicBytes(1024, 42)
+	_, shaLay := cryptoalg.BuildSHA256Program(len(cryptoalg.PackSHA256Blocks(shaMsg)) / 64)
+	shaWant := cryptoalg.SHA256(shaMsg)
+
+	kecMsg := deterministicBytes(1024, 43)
+	_, kecLay := cryptoalg.BuildKeccakHashProgram(len(cryptoalg.PadKeccak(kecMsg, 0x06)) / 136)
+	kecWant := cryptoalg.SHA3_256(kecMsg)
+
+	aesKey, aesSrc := deterministicBytes(16, 44), deterministicBytes(64*16, 45)
+	_, aesLay := cryptoalg.BuildAESProgram(aesKey, len(aesSrc)/16)
+	aesWant := make([]byte, len(aesSrc))
+	cryptoalg.AESEncryptECB(aesKey, aesWant, aesSrc)
+
+	blaMsg := deterministicBytes(1024, 46)
+	_, blaLay := cryptoalg.BuildBlake2bProgram(64, len(cryptoalg.PackBlake2bRecords(blaMsg))/144)
+	blaWant := cryptoalg.Blake2b512(blaMsg)
+
+	cases := []struct {
+		prog   *isa.Program
+		out    int64                   // data offset of the program's output
+		decode func(raw []byte) []byte // guest word order to the reference's bytes
+		want   []byte
+	}{
+		{SHA2Program(), shaLay.State, func(raw []byte) []byte {
+			d := cryptoalg.UnpackSHA256Digest(raw)
+			return d[:]
+		}, shaWant[:]},
+		{SHA3Program(), kecLay.State, nil, kecWant[:]},
+		{AESProgram(), aesLay.Dst, cryptoalg.PackAESBlocks, aesWant},
+		{Blake2bProgram(), blaLay.H, nil, blaWant[:]},
+	}
+	const base = 0x100_0000
+	for _, c := range cases {
+		cfg := cpu.DefaultConfig()
+		cfg.Cores = 1
+		machine, err := cpu.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, err := cpu.NewContext(c.prog, machine.Memory(), base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		core := machine.Core(0)
+		core.LoadContext(ctx)
+		for !ctx.Halted {
+			if core.Run(1_000_000) == 0 && !ctx.Halted {
+				t.Fatalf("%s: no progress", c.prog.Name)
+			}
+		}
+		if ctx.Fault != nil {
+			t.Fatalf("%s faulted: %v", c.prog.Name, ctx.Fault)
+		}
+		got := machine.Memory().ReadBytes(base+uint64(c.out), len(c.want))
+		if c.decode != nil {
+			got = c.decode(got)
+		}
+		if !bytes.Equal(got, c.want) {
+			t.Errorf("%s: simulated output %x != native reference %x", c.prog.Name, got, c.want)
+		}
+		if rsx := core.Counters().RSX(); rsx == 0 {
+			t.Errorf("%s: hashed with zero RSX instructions", c.prog.Name)
+		}
+	}
+}
