@@ -1,11 +1,11 @@
 // Command cryptojacklint is the reproduction's invariant linter: it runs
 // the internal/analysis suite (determinism, locksetflow, lockorder,
-// hotpath, hosttaint, sharecheck) over the module and reports every
-// violation of the simulator's machine-checked conventions. All analyzers
-// share one type-checked load of the module; the module-wide analyzers
-// additionally share one call graph and one taint fixpoint. `make lint`
-// wires it into the tier-1 gate; DESIGN.md §5d/§5g catalogue the
-// analyzers and their annotation syntax.
+// hotpath) over the module and reports every violation of the
+// simulator's machine-checked conventions. All analyzers share one
+// type-checked load of the module; the module-wide lock analyzers
+// additionally share one call graph. `make lint` wires it into the
+// tier-1 gate; DESIGN.md §5d catalogues the analyzers and their
+// annotation syntax.
 //
 // Usage:
 //
@@ -27,21 +27,13 @@ import (
 
 	"darkarts/internal/analysis"
 	"darkarts/internal/analysis/determinism"
-	"darkarts/internal/analysis/hosttaint"
 	"darkarts/internal/analysis/hotpath"
 	"darkarts/internal/analysis/lockorder"
 	"darkarts/internal/analysis/locksetflow"
-	"darkarts/internal/analysis/sharecheck"
 )
 
-// simPackagesDefault scopes the determinism, hosttaint, and sharecheck
-// analyzers to the simulation packages — the single shared list in
-// analysis.SimPackages: the packages whose state feeds the RSX
-// counter pipeline, the machine and fleet layers whose round barriers
-// extend the serial/parallel bit-identity guarantee to whole fleets
-// (FLEET.md), and the isa/microcode layers whose tables are part of the
-// decoded-program surface. Wall-clock or map-order nondeterminism
-// elsewhere (CLI rendering, experiments) cannot break either guarantee.
+// simPackagesDefault scopes the determinism analyzer to the simulation
+// packages listed in analysis.SimPackages.
 var simPackagesDefault = analysis.SimScopeDefault()
 
 func main() {
@@ -69,8 +61,6 @@ func run(args []string, stdout, stderr *os.File) int {
 		locksetflow.Analyzer,
 		lockorder.Analyzer,
 		hotpath.Analyzer,
-		hosttaint.Analyzer,
-		sharecheck.Analyzer,
 	}
 	if *list {
 		for _, a := range all {
@@ -95,12 +85,6 @@ func run(args []string, stdout, stderr *os.File) int {
 			analyzers = append(analyzers, a)
 		}
 	}
-
-	// The module-wide taint analyzers bypass the per-package filter
-	// below; their scope is plumbed through package variables instead.
-	simScope := strings.Split(*simPkgs, ",")
-	hosttaint.Scope = simScope
-	sharecheck.Scope = simScope
 
 	started := time.Now()
 
@@ -141,16 +125,9 @@ func run(args []string, stdout, stderr *os.File) int {
 
 	// determinism is the one package-scoped analyzer: everything else
 	// runs everywhere.
+	simScope := strings.Split(*simPkgs, ",")
 	filter := func(a *analysis.Analyzer, pkgPath string) bool {
-		if a != determinism.Analyzer {
-			return true
-		}
-		for _, s := range simScope {
-			if s = strings.TrimSpace(s); s != "" && strings.Contains(pkgPath, s) {
-				return true
-			}
-		}
-		return false
+		return a != determinism.Analyzer || analysis.InScope(simScope, pkgPath)
 	}
 
 	findings, timings, err := analysis.RunTimed(pkgs, analyzers, loader.Dirs, filter)

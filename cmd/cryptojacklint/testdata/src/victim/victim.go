@@ -1,5 +1,5 @@
 // Package victim is the cryptojacklint end-to-end fixture: seeded
-// violations for every analyzer, one suppressed site and clean twins,
+// violations for every analyzer, suppressed sites and clean twins,
 // which the cmd test golden-diffs against the binary's diagnostics.
 package victim
 
@@ -148,51 +148,51 @@ func growBlock(block []op, s op) []op {
 	return append(block, s)
 }
 
-// Machine roots the sharecheck loop analysis (the cmd test narrows
-// -sim-pkgs to this package). Its fields are simulation state: rig is
-// the structure the loop below aliases across machines, and stamp is
-// where the hosttaint seed stores the wall clock. Only a hostonly or
-// immutable marker would exempt them.
+// Machine is the simulated host of the clean twins below. Its fields are
+// simulation state: per-machine, and reached only by values derived from
+// the simulated clock, never from the host.
 type Machine struct {
 	rig   *rig
 	stamp int64
 }
 
-// rig is the mutable structure the sharecheck seed aliases fleet-wide.
+// rig is per-machine mutable state.
 type rig struct {
 	temp uint64
 }
 
-// sharedRig is the loop-invariant pointer every machine below receives.
-// It carries no hostonly or immutable marker, so sharing it is a
-// finding.
-var sharedRig = &rig{}
-
-// install stores the package-level rig into one machine.
-func install(m *Machine) {
-	m.rig = sharedRig
-}
-
-// Fleet seeds a sharecheck violation: every machine visited by the loop
-// ends up aliasing sharedRig, and victim.rig is not on the whitelist.
+// Fleet is clean: every machine gets its own rig. A rig shared across
+// machines is a fleet isolation bug that no analyzer reports; the fleet's
+// differential tests and -race catch it at run time instead, because a
+// shared rig changes results and races between workers.
 func Fleet(ms []*Machine) {
 	for _, m := range ms {
-		install(m)
+		m.rig = &rig{}
 	}
 }
 
-// clock launders the wall clock through a return value. The lexical
-// determinism finding here is suppressed so the interprocedural
-// hosttaint flow is reported once, at the store in Mark.
-func clock() int64 {
-	//lint:ignore determinism seeded hosttaint flow, reported at the store site instead
+// logStamp reads the host wall clock for a log line only. The binary
+// must honour the //lint:ignore below and report nothing here: the
+// suppressed leg of the determinism seeds. Host reads that would reach
+// simulation state (time.Now, os.Getenv, runtime.NumCPU) are reported
+// at the call, wherever their value goes.
+func logStamp() int64 {
+	//lint:ignore determinism host wall clock feeds a log line only, never simulation state
 	return time.Now().UnixNano()
 }
 
-// Mark seeds a hosttaint violation: the laundered clock value lands in
-// simulation state two calls away from the time.Now source.
-func Mark(m *Machine) {
-	m.stamp = clock()
+// Mark is clean: the stamp is the simulated time the caller passes in,
+// so every run and every shard count stores the same value. A host value
+// here would be a determinism finding at its source call instead.
+func Mark(m *Machine, simNow int64) {
+	m.stamp = simNow
+}
+
+// Heat warms one machine's own rig. It touches no other machine, so a
+// fleet may run it on many machines at once without a lock, and the
+// result is the same whichever worker runs which machine.
+func Heat(m *Machine) {
+	m.rig.temp++
 }
 
 // Settle seeds the suppression audit's unused leg: there is no hotpath

@@ -199,7 +199,7 @@ func FreshLocals(info *types.Info, body *ast.BlockStmt) map[types.Object]bool {
 			if !ok {
 				continue
 			}
-			if obj := info.Defs[id]; obj != nil && ConstructsValue(info, assign.Rhs[i]) {
+			if obj := info.Defs[id]; obj != nil && constructsValue(info, assign.Rhs[i]) {
 				fresh[obj] = true
 			}
 		}
@@ -208,8 +208,8 @@ func FreshLocals(info *types.Info, body *ast.BlockStmt) map[types.Object]bool {
 	return fresh
 }
 
-// ConstructsValue reports whether e evaluates to a freshly allocated value.
-func ConstructsValue(info *types.Info, e ast.Expr) bool {
+// constructsValue reports whether e evaluates to a freshly allocated value.
+func constructsValue(info *types.Info, e ast.Expr) bool {
 	switch e := e.(type) {
 	case *ast.CompositeLit:
 		return true

@@ -1,21 +1,27 @@
 // Package determinism flags host nondeterminism inside the simulation
 // packages. The parallel scheduler's contract (DESIGN.md §5b) is that a
 // quantum's plan→execute→merge produces bit-identical results to serial
-// execution; reading the host wall clock, drawing from the process-global
-// math/rand stream, or ranging over a map in an order-sensitive position
-// each silently breaks that guarantee.
+// execution, and the fleet extends it to any shard count; reading the
+// host wall clock, the environment or the CPU count, drawing from the
+// process-global math/rand stream, or ranging over a map in an
+// order-sensitive position each silently breaks that guarantee.
 //
-// Three patterns are reported:
+// Four patterns are reported:
 //
 //   - calls to time.Now (host wall clock is per-run state);
+//   - calls to os.Getenv, os.LookupEnv and os.Environ, runtime.GOMAXPROCS
+//     and runtime.NumCPU (the environment and the host's CPU count differ
+//     between runs and hosts);
 //   - calls to package-level math/rand functions (the global stream is
 //     shared and lock-ordered; seeded *rand.Rand values are fine);
 //   - range over a map, unless the loop only collects keys/values into
 //     slices that are subsequently sorted in the same function.
 //
-// Wall-clock reads that feed only host-side telemetry (never simulation
-// state) are suppressed site-by-site with //lint:ignore determinism and a
-// justification.
+// The ban is on the call, not on where its value flows: a host value that
+// only decides a branch changes simulation state as surely as one stored
+// into it. Host reads that feed only host-side telemetry or size a worker
+// pool (never simulation state) are suppressed site-by-site with
+// //lint:ignore determinism and a justification.
 package determinism
 
 import (
@@ -28,8 +34,8 @@ import (
 // Analyzer is the determinism checker.
 var Analyzer = &analysis.Analyzer{
 	Name: "determinism",
-	Doc: "flag time.Now, global math/rand, and unsorted map iteration in simulation packages " +
-		"(each breaks the serial/parallel bit-identity guarantee)",
+	Doc: "flag time.Now, environment and CPU-count reads, global math/rand, and unsorted map " +
+		"iteration in simulation packages (each breaks the serial/parallel bit-identity guarantee)",
 	Run: run,
 }
 
@@ -50,7 +56,15 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// checkCall reports time.Now and package-level math/rand calls.
+// hostReads are the banned host-state reads beyond time.Now, keyed by
+// package path and function name.
+var hostReads = map[string]map[string]bool{
+	"os":      {"Getenv": true, "LookupEnv": true, "Environ": true},
+	"runtime": {"GOMAXPROCS": true, "NumCPU": true},
+}
+
+// checkCall reports time.Now, host-state reads and package-level
+// math/rand calls.
 func checkCall(pass *analysis.Pass, call *ast.CallExpr) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
@@ -62,6 +76,10 @@ func checkCall(pass *analysis.Pass, call *ast.CallExpr) {
 		case fn.Pkg().Path() == "time" && fn.Name() == "Now":
 			pass.Reportf(call.Pos(),
 				"call to time.Now in a simulation package: host wall clock is per-run state and breaks serial/parallel bit-identity (use the kernel clock)")
+		case hostReads[fn.Pkg().Path()][fn.Name()]:
+			pass.Reportf(call.Pos(),
+				"call to %s.%s in a simulation package: host state differs between runs and hosts (pass the value in through a config)",
+				fn.Pkg().Name(), fn.Name())
 		case (fn.Pkg().Path() == "math/rand" || fn.Pkg().Path() == "math/rand/v2") && isPackageLevel(fn):
 			pass.Reportf(call.Pos(),
 				"call to global %s.%s: the shared stream makes results depend on goroutine interleaving (use a seeded *rand.Rand owned by the caller)",

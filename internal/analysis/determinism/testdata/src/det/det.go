@@ -4,6 +4,8 @@ package det
 
 import (
 	"math/rand"
+	"os"
+	"runtime"
 	"sort"
 	"time"
 )
@@ -49,4 +51,30 @@ func overSlice(s []uint64) uint64 {
 		sum = sum<<1 ^ v
 	}
 	return sum
+}
+
+func threshold() string {
+	return os.Getenv("CJ_THRESHOLD") // want `os\.Getenv`
+}
+
+func lookup() bool {
+	_, ok := os.LookupEnv("CJ_PERIOD") // want `os\.LookupEnv`
+	return ok
+}
+
+func environ() int {
+	return len(os.Environ()) // want `os\.Environ`
+}
+
+func width() int {
+	return runtime.GOMAXPROCS(0) // want `runtime\.GOMAXPROCS`
+}
+
+func cores() int {
+	return runtime.NumCPU() // want `runtime\.NumCPU`
+}
+
+func poolWidth() int {
+	//lint:ignore determinism sizes a worker pool whose width is result-invariant
+	return runtime.GOMAXPROCS(0)
 }

@@ -25,24 +25,6 @@ const (
 	DirLocked   = "cryptojack:locked"
 )
 
-// Host-side classifications. A field or package-level var carrying one
-// of these markers lies outside simulated state, so hosttaint accepts
-// host-tainted values there and sharecheck lets machines share it:
-//
-//	//cryptojack:hostonly  — host-side handle (obs registries, http,
-//	                         logging, worker plumbing): never influences
-//	                         simulated observable state, and the one
-//	                         legitimate destination for host-tainted
-//	                         values.
-//	//cryptojack:immutable — written once before use and never mutated
-//	                         (lookup tables, decoded programs): safe to
-//	                         share across machines.
-//
-// The marker goes on the field's line or doc comment; a marker on a
-// type declaration covers all of that struct's fields, and one on a var
-// block's doc comment covers every var in the block.
-var classRe = regexp.MustCompile(`cryptojack:(hostonly|immutable)\b`)
-
 // guardedRe matches the field annotation locksetflow consumes, e.g.
 //
 //	tasks []*Task // guarded by mu
@@ -84,15 +66,6 @@ type Directives struct {
 	guardObj map[types.Object]types.Object
 	// suppress maps filename → line → analyzer names suppressed there.
 	suppress map[string]map[int]map[string]bool
-	// hostSide holds every struct field and package-level var marked
-	// cryptojack:hostonly or cryptojack:immutable.
-	hostSide map[types.Object]bool
-	// typeHostSide holds every type whose declaration comment carries
-	// one of those markers, covering all fields of the struct.
-	typeHostSide map[types.Object]bool
-	// fieldOwner maps a struct field to the named type declaring it, so
-	// HostSide can fall back to the type-level marker.
-	fieldOwner map[types.Object]types.Object
 	// ignores holds every //lint:ignore comment for the audit; ignoreAt
 	// indexes them by position for usage marking.
 	ignores  []*IgnoreComment
@@ -101,14 +74,11 @@ type Directives struct {
 
 func newDirectives() *Directives {
 	return &Directives{
-		funcs:        map[types.Object]map[string]bool{},
-		guarded:      map[types.Object]string{},
-		guardObj:     map[types.Object]types.Object{},
-		suppress:     map[string]map[int]map[string]bool{},
-		hostSide:     map[types.Object]bool{},
-		typeHostSide: map[types.Object]bool{},
-		fieldOwner:   map[types.Object]types.Object{},
-		ignoreAt:     map[string]map[int]*IgnoreComment{},
+		funcs:    map[types.Object]map[string]bool{},
+		guarded:  map[types.Object]string{},
+		guardObj: map[types.Object]types.Object{},
+		suppress: map[string]map[int]map[string]bool{},
+		ignoreAt: map[string]map[int]*IgnoreComment{},
 	}
 }
 
@@ -129,10 +99,6 @@ func (d *Directives) GuardOf(field types.Object) (string, bool) {
 	return g, ok
 }
 
-// GuardedFields returns every annotated field object (package-merge order;
-// callers must not depend on ordering).
-func (d *Directives) GuardedFields() map[types.Object]string { return d.guarded }
-
 // GuardObjOf returns the object of the mutex field guarding field — the
 // sibling struct field the `// guarded by` annotation names. It is absent
 // when the named guard is not a field of the same struct.
@@ -142,16 +108,6 @@ func (d *Directives) GuardObjOf(field types.Object) (types.Object, bool) {
 	}
 	g, ok := d.guardObj[field]
 	return g, ok
-}
-
-// HostSide reports whether obj is classified hostonly or immutable: by
-// its own field- or var-level marker, or, for a struct field, by a
-// marker on the declaring type.
-func (d *Directives) HostSide(obj types.Object) bool {
-	if d == nil || obj == nil {
-		return false
-	}
-	return d.hostSide[obj] || d.typeHostSide[d.fieldOwner[obj]]
 }
 
 // IgnoreComments returns every //lint:ignore comment seen in the target
@@ -225,20 +181,6 @@ func (d *Directives) collect(fset *token.FileSet, file *ast.File, info *types.In
 		}
 	}
 
-	for _, decl := range file.Decls {
-		gd, ok := decl.(*ast.GenDecl)
-		if !ok {
-			continue
-		}
-		switch gd.Tok {
-		case token.TYPE:
-			d.collectTypeClasses(gd, info)
-		case token.VAR:
-			d.collectVarClasses(gd, info)
-		default: // const/import declarations carry no classifications
-		}
-	}
-
 	ast.Inspect(file, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncDecl:
@@ -298,92 +240,6 @@ func (d *Directives) recordIgnore(ig *IgnoreComment) {
 		d.ignoreAt[ig.Pos.Filename] = lines
 	}
 	lines[ig.Pos.Line] = ig
-}
-
-// markedHostSide reports whether any of the comment groups carries a
-// hostonly or immutable marker.
-func markedHostSide(groups ...*ast.CommentGroup) bool {
-	for _, cg := range groups {
-		if cg == nil {
-			continue
-		}
-		for _, c := range cg.List {
-			if classRe.MatchString(c.Text) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// collectTypeClasses records type-level and field-level host-side
-// markers (plus field→type ownership) for every struct type in a
-// package-level type declaration.
-func (d *Directives) collectTypeClasses(gd *ast.GenDecl, info *types.Info) {
-	for _, spec := range gd.Specs {
-		ts, ok := spec.(*ast.TypeSpec)
-		if !ok {
-			continue
-		}
-		tn := info.Defs[ts.Name]
-		if tn == nil {
-			continue
-		}
-		// An ungrouped `type Foo struct` carries its doc on the GenDecl.
-		docs := []*ast.CommentGroup{ts.Doc, ts.Comment}
-		if len(gd.Specs) == 1 {
-			docs = append([]*ast.CommentGroup{gd.Doc}, docs...)
-		}
-		if markedHostSide(docs...) {
-			d.typeHostSide[tn] = true
-		}
-		st, ok := ts.Type.(*ast.StructType)
-		if !ok {
-			continue
-		}
-		named, ok := tn.Type().(*types.Named)
-		if !ok {
-			continue
-		}
-		under, ok := named.Underlying().(*types.Struct)
-		if !ok {
-			continue
-		}
-		// Walk AST fields in parallel with the flattened *types.Struct
-		// field list so embedded fields (no AST names) get objects too.
-		idx := 0
-		for _, f := range st.Fields.List {
-			n := len(f.Names)
-			if n == 0 {
-				n = 1 // embedded
-			}
-			marked := markedHostSide(f.Doc, f.Comment)
-			for i := 0; i < n && idx < under.NumFields(); i, idx = i+1, idx+1 {
-				fld := under.Field(idx)
-				d.fieldOwner[fld] = tn
-				if marked {
-					d.hostSide[fld] = true
-				}
-			}
-		}
-	}
-}
-
-// collectVarClasses records host-side markers of package-level vars. A
-// marker on the var block's doc comment covers every spec in the block.
-func (d *Directives) collectVarClasses(gd *ast.GenDecl, info *types.Info) {
-	block := markedHostSide(gd.Doc)
-	for _, spec := range gd.Specs {
-		vs, ok := spec.(*ast.ValueSpec)
-		if !ok || !(block || markedHostSide(vs.Doc, vs.Comment)) {
-			continue
-		}
-		for _, name := range vs.Names {
-			if obj := info.Defs[name]; obj != nil {
-				d.hostSide[obj] = true
-			}
-		}
-	}
 }
 
 // structField finds the object of st's field named name.

@@ -2,17 +2,15 @@ package analysis
 
 import "strings"
 
-// SimPackages is the one shared list of simulation-package path
-// substrings every scoped analyzer derives its default scope from
-// (determinism lexically, hosttaint/sharecheck through their Scope
-// variables, and cmd/cryptojacklint's -sim-pkgs flag). These are
-// the packages whose mutable state feeds the RSX counter pipeline and
-// whose round barriers extend the serial/parallel bit-identity guarantee
-// to whole fleets (DESIGN.md §5b, FLEET.md); isa and microcode are
-// included because decoded programs and tag tables determine which
-// instructions count as RSX events, and gsa because its profiles feed
-// admission and the detection prior — a nondeterministic ranking would
-// make admission verdicts differ across runs.
+// SimPackages is the list of simulation-package path substrings that
+// determinism is scoped to by default (cmd/cryptojacklint's -sim-pkgs
+// flag). These are the packages whose mutable state feeds the RSX
+// counter pipeline and whose round barriers extend the serial/parallel
+// bit-identity guarantee to whole fleets (DESIGN.md §5b, FLEET.md); isa
+// and microcode are included because decoded programs and tag tables
+// determine which instructions count as RSX events, and gsa because its
+// profiles feed admission and the detection prior — a nondeterministic
+// ranking would make admission verdicts differ across runs.
 // Wall-clock or map-order nondeterminism elsewhere (CLI rendering,
 // experiments, obs export) cannot break either guarantee.
 var SimPackages = []string{

@@ -49,8 +49,7 @@ const maxCachedProgs = 32
 // histogram buckets reported in BBStats.LenCounts (the last bucket is
 // unbounded, covering 33..maxBlockLen). Exposed so the kernel's
 // observability layer registers its histogram with matching boundaries.
-//
-//cryptojack:immutable
+// Read-only: never mutated after init.
 var BBLenBounds = []uint64{1, 2, 4, 8, 16, 32}
 
 // bbLenBuckets is len(BBLenBounds)+1: six bounded buckets plus overflow

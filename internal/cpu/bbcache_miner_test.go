@@ -21,3 +21,67 @@ func TestMinerBlocksVsStep(t *testing.T) {
 		}
 	}
 }
+
+// TestBlockEngineDoesNotAllocate pins the block engine's zero-allocation
+// hot path at run time. The kernel's restart test runs a program that
+// halts after a handful of instructions; here a baked SHA-3 kernel,
+// restarted in place at every HALT as the kernel's looping workloads do,
+// retires over 1M instructions per measured run, nearly all inside
+// execBlock, once a warm-up run has decoded every block. Each run is a
+// whole number of passes from entry to HALT: a run that stopped mid-block
+// would make the next one decode a block at a new entry pc, which is a
+// cold-path allocation, not a hot-path one.
+func TestBlockEngineDoesNotAllocate(t *testing.T) {
+	const (
+		runs = 4
+		base = 0x100_0000
+	)
+	cfg := cpu.DefaultConfig()
+	cfg.Cores = 1
+	machine, err := cpu.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := workload.SHA3Program()
+	ctx, err := cpu.NewContext(prog, machine.Memory(), base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	core := machine.Core(0)
+	restart := func() {
+		if ctx.Fault != nil {
+			t.Fatal(ctx.Fault)
+		}
+		ctx.Reset(prog, machine.Memory(), base)
+		core.LoadContext(ctx)
+	}
+	core.LoadContext(ctx)
+	var pass uint64 // instructions from entry to HALT
+	for !ctx.Halted {
+		pass += core.Run(1 << 20)
+	}
+	restart()
+	slice := (1<<20/pass + 1) * pass
+	run := func() {
+		for budget := slice; budget > 0; {
+			budget -= core.Run(budget)
+			if ctx.Halted {
+				restart()
+			}
+		}
+	}
+	run() // warm-up
+	bank, warm := core.Counters(), core.BlockCacheStats()
+	retired := bank.Retired()
+	if allocs := testing.AllocsPerRun(runs, run); allocs != 0 {
+		t.Fatalf("%d-instruction block-engine run allocates %.1f objects, want 0", slice, allocs)
+	}
+	// AllocsPerRun adds one unmeasured warm-up call.
+	if got := bank.Retired() - retired; got != (runs+1)*slice {
+		t.Fatalf("retired %d instructions, want %d", got, (runs+1)*slice)
+	}
+	if s := core.BlockCacheStats(); s.Misses != warm.Misses || s.LenSum-warm.LenSum != (runs+1)*slice {
+		t.Fatalf("measured runs decoded %d blocks and retired %d of %d instructions through the cache, want 0 and all",
+			s.Misses-warm.Misses, s.LenSum-warm.LenSum, (runs+1)*slice)
+	}
+}

@@ -61,7 +61,7 @@ type Core struct {
 
 	ctx *ArchContext
 
-	observer RetireObserver // cryptojack:hostonly -- host-side retirement hook
+	observer RetireObserver // host-side retirement hook
 
 	tlb memTLB
 

@@ -261,11 +261,19 @@ var apiRoutes = []string{"fleet", "workloads", "alerts", "machines", "stats"}
 
 // FuzzAPI drives every fleet API route with an arbitrary method, body and
 // query parameters. Whatever the input, no handler may panic or answer
-// 5xx, and every 4xx must carry a non-empty apiError body. Submissions go
-// to a fresh two-machine fleet, so accepted workloads do not pile up
-// across inputs; the other routes go to one fleet whose retained stream
-// holds alerts and has trimmed older ones, so alert cursors land before,
-// inside and past it.
+// 5xx, and every 4xx must carry a non-empty apiError body. POSTs to the
+// workloads route go to a fresh two-machine fleet, so accepted workloads
+// do not pile up across inputs; every other request goes to one fleet
+// whose retained stream holds alerts and has trimmed older ones, so alert
+// cursors land before, inside and past it.
+//
+// Every string input is cut to fuzzMaxString bytes, and the body sent is
+// padKiB KiB of leading blanks followed by body, so an oversized
+// submission is a one-byte input rather than a 64 KiB string. The fuzzer
+// minimizes each input that finds new coverage, trying up to one
+// candidate per pair of byte positions in every string, and counts none
+// of those executions until it is done: long strings would keep both
+// workers minimizing for most of a 20 s run.
 func FuzzAPI(f *testing.F) {
 	for _, c := range apiErrorCases(testConfig(2).Machine.CPU.FreqHz) {
 		u, err := url.Parse(c.path)
@@ -276,18 +284,22 @@ func FuzzAPI(f *testing.F) {
 		if route < 0 {
 			f.Fatalf("%s is not a fleet API route", c.path)
 		}
+		body, padKiB := c.body, uint8(0)
+		if len(body) > maxSubmitBytes {
+			body, padKiB = `{"tenant":"t"}`, maxSubmitBytes>>10+1
+		}
 		q := u.Query()
-		f.Add(c.method, uint8(route), c.body, q.Get("since"), q.Get("limit"), "mallory")
+		f.Add(c.method, uint8(route), body, padKiB, q.Get("since"), q.Get("limit"), "mallory")
 	}
 	workloads, alerts := uint8(slices.Index(apiRoutes, "workloads")), uint8(slices.Index(apiRoutes, "alerts"))
-	f.Add(http.MethodPost, workloads, `{"tenant":"t","kind":"miner","threads":3,"throttle":0.5}`, "", "", "")
-	f.Add(http.MethodPost, workloads, `{"tenant":"t","kind":"program","program":"xmr-isa","ips":1000000}`, "", "", "")
-	f.Add(http.MethodPost, workloads, `{"tenant":"t","kind":"miner","machine":-1,"pin":true}`, "", "", "")
-	f.Add(http.MethodPost, workloads, `{}`, "", "", "")
-	f.Add(http.MethodGet, alerts, "", "0", "10", "mallory")
-	f.Add(http.MethodGet, alerts, "", "1", "1", "t")
-	f.Add(http.MethodGet, alerts, "", "18446744073709551615", "-1", "")
-	f.Add(http.MethodGet, alerts, "", "9223372036854775808", "x", "acme")
+	f.Add(http.MethodPost, workloads, `{"tenant":"t","kind":"miner","threads":3,"throttle":0.5}`, uint8(0), "", "", "")
+	f.Add(http.MethodPost, workloads, `{"tenant":"t","kind":"program","program":"xmr-isa","ips":1000000}`, uint8(0), "", "", "")
+	f.Add(http.MethodPost, workloads, `{"tenant":"t","kind":"miner","machine":-1,"pin":true}`, uint8(0), "", "", "")
+	f.Add(http.MethodPost, workloads, `{}`, uint8(0), "", "", "")
+	f.Add(http.MethodGet, alerts, "", uint8(0), "0", "10", "mallory")
+	f.Add(http.MethodGet, alerts, "", uint8(0), "1", "1", "t")
+	f.Add(http.MethodGet, alerts, "", uint8(0), "18446744073709551615", "-1", "")
+	f.Add(http.MethodGet, alerts, "", uint8(0), "9223372036854775808", "x", "acme")
 
 	cfg := testConfig(2)
 	cfg.AlertRetention = 2
@@ -304,15 +316,17 @@ func FuzzAPI(f *testing.F) {
 	}
 	queries := stream.Handler()
 
-	f.Fuzz(func(t *testing.T, method string, route uint8, body, since, limit, tenant string) {
+	f.Fuzz(func(t *testing.T, method string, route uint8, body string, padKiB uint8, since, limit, tenant string) {
+		method, body, since, limit, tenant = clip(method), clip(body), clip(since), clip(limit), clip(tenant)
 		path := "/api/v1/" + apiRoutes[int(route)%len(apiRoutes)]
 		q := url.Values{"since": {since}, "limit": {limit}, "tenant": {tenant}}
-		req, err := http.NewRequest(method, path+"?"+q.Encode(), strings.NewReader(body))
+		pad := strings.Repeat(" ", int(padKiB)<<10)
+		req, err := http.NewRequest(method, path+"?"+q.Encode(), strings.NewReader(pad+body))
 		if err != nil {
 			t.Skip("not an HTTP method token:", err)
 		}
 		h := queries
-		if path == "/api/v1/workloads" {
+		if path == "/api/v1/workloads" && method == http.MethodPost {
 			sub, err := New(testConfig(2))
 			if err != nil {
 				t.Fatal(err)
@@ -321,6 +335,16 @@ func FuzzAPI(f *testing.F) {
 		}
 		requireAPIAnswer(t, h, req)
 	})
+}
+
+// fuzzMaxString bounds each FuzzAPI string input: room for every seed
+// and a realistic submission, small enough that minimizing one stays
+// short.
+const fuzzMaxString = 128
+
+// clip cuts s to fuzzMaxString bytes.
+func clip(s string) string {
+	return s[:min(len(s), fuzzMaxString)]
 }
 
 // requireAPIAnswer serves req and fails t on a 5xx or on a 4xx whose body

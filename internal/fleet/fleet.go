@@ -25,7 +25,7 @@ type Config struct {
 	// atomic claim cursors. 0 picks min(Machines, GOMAXPROCS). Worker
 	// count and steal schedule affect wall-clock speed only: the alert
 	// stream is bit-identical for every value.
-	Shards int // cryptojack:hostonly -- worker-pool width, result-invariant
+	Shards int // worker-pool width, result-invariant
 	// Round is the simulated time between barriers (default 1s); a
 	// machine with no event before a barrier may sit the round out and
 	// catch up later. Alerts are batched per machine per round and flushed
@@ -63,7 +63,7 @@ type Config struct {
 	// advancing quiescent ones analytically (Machine.FastForwardTo) and
 	// skipping their event-free rounds (see Member).
 	noSharedBlocks bool
-	noFastForward  bool // cryptojack:hostonly -- execution strategy, result-invariant
+	noFastForward  bool // execution strategy, result-invariant
 }
 
 // Static admission policies (Config.StaticPolicy).
@@ -153,8 +153,6 @@ type tenantKey struct {
 // wall-clock accounting): which worker advances a machine affects
 // scheduling only, never results — machines are mutually independent and
 // each is claimed exactly once per round.
-//
-//cryptojack:hostonly
 type worker struct {
 	f            *Fleet
 	id           int
@@ -199,17 +197,17 @@ type Fleet struct {
 	// horizon is before the barrier, or every member in the first and last
 	// round of a Run call. Rebuilt by the coordinator before each round.
 	due     []*Member
-	workers []*worker // cryptojack:hostonly -- worker pool, result-invariant
+	workers []*worker // worker pool, result-invariant
 	shared  *cpu.SharedBlocks
-	om      *fmetrics // cryptojack:hostonly
+	om      *fmetrics // host-side telemetry
 
 	// Scheduler test hooks (sched_test.go, horizon_test.go):
 	// hookRoundStart runs at the start of every worker's share of a round
 	// that has machines due (delaying chosen workers forces steal-heavy
 	// schedules); noSteal confines every worker to its home slice. Both set
 	// before Run, read-only during it.
-	hookRoundStart func(workerID int) // cryptojack:hostonly -- test-only schedule shaping
-	noSteal        bool               // cryptojack:hostonly -- test-only schedule shaping
+	hookRoundStart func(workerID int) // test-only schedule shaping
+	noSteal        bool               // test-only schedule shaping
 
 	// mu guards the alert stream, tenancy tables, and placement state
 	// against concurrent API readers/writers.
@@ -243,6 +241,7 @@ func New(cfg Config) (*Fleet, error) {
 		cfg.Round = time.Second
 	}
 	if cfg.Shards <= 0 {
+		//lint:ignore determinism sizes the worker pool only; TestFleetDeterminismAcrossShards pins results equal at every width
 		cfg.Shards = runtime.GOMAXPROCS(0)
 	}
 	if cfg.Shards > cfg.Machines {

@@ -47,11 +47,16 @@ func seedWorkloads(t testing.TB, f *Fleet) {
 }
 
 // TestFleetDeterminismAcrossShards is the fleet's core guarantee: the same
-// seed and submission schedule produce a bit-identical alert stream no
-// matter how the machines are sharded.
+// seed and submission schedule produce a bit-identical alert stream and
+// identical per-machine clocks, housekeeping cost and counter banks no
+// matter how the machines are sharded. Shards 0 is the GOMAXPROCS
+// default, the one width read from the host.
 func TestFleetDeterminismAcrossShards(t *testing.T) {
-	var want []Alert
-	for _, shards := range []int{1, 2, 4, 7} {
+	var (
+		want      []Alert
+		wantState []machineState
+	)
+	for _, shards := range []int{1, 2, 4, 7, 0} {
 		cfg := testConfig(8)
 		cfg.Shards = shards
 		f, err := New(cfg)
@@ -60,17 +65,22 @@ func TestFleetDeterminismAcrossShards(t *testing.T) {
 		}
 		seedWorkloads(t, f)
 		f.Run(5 * time.Second)
-		got := f.AlertStream()
+		got, gotState := f.AlertStream(), machineStates(f)
 		if len(got) == 0 {
 			t.Fatalf("shards=%d: no alerts (miners should trip the 2s window)", shards)
 		}
 		if want == nil {
-			want = got
+			want, wantState = got, gotState
 			continue
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("shards=%d: alert stream diverged from shards=1\n got %+v\nwant %+v",
 				shards, got, want)
+		}
+		for i := range wantState {
+			if !reflect.DeepEqual(gotState[i], wantState[i]) {
+				t.Errorf("shards=%d: machine %d state %+v, shards=1 %+v", shards, i, gotState[i], wantState[i])
+			}
 		}
 	}
 }

@@ -23,6 +23,22 @@ type machineState struct {
 	Banks    [][]uint64
 }
 
+// machineStates snapshots every member of f, in ID order.
+func machineStates(f *Fleet) []machineState {
+	var out []machineState
+	for _, mem := range f.Members() {
+		s := machineState{Now: mem.M.Now(), Overhead: mem.M.Kernel().SampleOverheadCycles()}
+		c := mem.M.CPU()
+		for i := 0; i < c.Cores(); i++ {
+			b := c.Core(i).Counters()
+			hist := b.Histogram()
+			s.Banks = append(s.Banks, append([]uint64{b.RSX(), b.Retired(), b.Cycles()}, hist[:]...))
+		}
+		out = append(out, s)
+	}
+	return out
+}
+
 // runHorizonFleet builds an idle-heavy 16-machine fleet with 250ms rounds
 // and 2s windows, plants miners whose window crossings fall on either side
 // of a round barrier, and runs 6s more either as one Run call (long), as
@@ -96,16 +112,7 @@ func runHorizonFleet(t *testing.T, long, noFF bool) horizonRun {
 	if run.stream, err = json.Marshal(stream); err != nil {
 		t.Fatal(err)
 	}
-	for _, mem := range f.Members() {
-		s := machineState{Now: mem.M.Now(), Overhead: mem.M.Kernel().SampleOverheadCycles()}
-		c := mem.M.CPU()
-		for i := 0; i < c.Cores(); i++ {
-			b := c.Core(i).Counters()
-			hist := b.Histogram()
-			s.Banks = append(s.Banks, append([]uint64{b.RSX(), b.Retired(), b.Cycles()}, hist[:]...))
-		}
-		run.machines = append(run.machines, s)
-	}
+	run.machines = machineStates(f)
 	return run
 }
 

@@ -9,9 +9,7 @@ import (
 
 // Histogram bucket bounds: round wall times span sub-millisecond (idle
 // fleets) to seconds (thousand-machine rounds); API latencies span
-// microseconds to tens of milliseconds.
-//
-//cryptojack:immutable
+// microseconds to tens of milliseconds. Never mutated after init.
 var (
 	fleetNsBuckets  = []uint64{100_000, 1_000_000, 10_000_000, 100_000_000, 1_000_000_000, 10_000_000_000}
 	apiNsBuckets    = []uint64{10_000, 100_000, 1_000_000, 10_000_000, 100_000_000}

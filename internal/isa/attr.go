@@ -38,7 +38,7 @@ type OpAttr struct {
 	RSX bool
 }
 
-//cryptojack:immutable
+// opAttrs is read-only after init.
 var opAttrs = [numOps]OpAttr{
 	MOV:  {},
 	MOVI: {},

@@ -71,7 +71,7 @@ func (r Reg) String() string {
 //   - stores: mem[Rs1 + Imm] = Rs2
 //   - branches: Imm is the target instruction index
 //
-//cryptojack:immutable
+// An Inst is a value: once assembled into a Program it is never mutated.
 type Inst struct {
 	Op  Op
 	Rd  Reg
@@ -131,8 +131,6 @@ const InstBytes = 4
 // Programs are write-once: the assembler/builder fills them in and
 // nothing mutates them after a machine starts executing, which is what
 // lets cores, the shared block cache, and whole fleets alias one image.
-//
-//cryptojack:immutable
 type Program struct {
 	Name    string
 	Code    []Inst

@@ -94,7 +94,7 @@ const (
 // histogram consumers (internal/trace) can size dense arrays.
 const NumOps = int(numOps)
 
-//cryptojack:immutable
+// opNames is read-only after init.
 var opNames = [numOps]string{
 	OpInvalid: "INVALID",
 	MOV:       "MOV", MOVI: "MOVI",
@@ -152,7 +152,7 @@ const (
 	ClassMulDiv                   // long-latency integer ops
 )
 
-//cryptojack:immutable
+// opClasses is read-only after init.
 var opClasses = [numOps]Class{
 	MOV: ClassMove, MOVI: ClassMove, LEA: ClassMove,
 	LD: ClassLoad, LD32: ClassLoad, LD16: ClassLoad, LD8: ClassLoad,

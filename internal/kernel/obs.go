@@ -10,9 +10,7 @@ import (
 // Histogram bucket bounds. Fixed at registration (see DESIGN.md,
 // "Observability"): host-time latencies span 1µs..100ms, per-quantum
 // instruction counts span idle..tens of millions, and window RSX counts
-// bracket the paper's 2.5e9/min threshold.
-//
-//cryptojack:immutable
+// bracket the paper's 2.5e9/min threshold. Never mutated after init.
 var (
 	obsNsBuckets     = []uint64{1_000, 10_000, 100_000, 1_000_000, 10_000_000, 100_000_000}
 	obsInstBuckets   = []uint64{0, 10_000, 100_000, 500_000, 1_000_000, 2_000_000, 4_000_000, 8_000_000, 16_000_000}
@@ -27,8 +25,6 @@ var (
 //
 // Everything here is host-side telemetry (wall-clock timings, registry
 // handles, per-quantum scratch): none of it feeds simulation results.
-//
-//cryptojack:hostonly
 type kmetrics struct {
 	reg *obs.Registry
 

@@ -66,7 +66,7 @@ func (w *ISAWorkload) Done() bool {
 // and by simple synthetic tasks. The function receives the core and slice
 // and returns true when the workload has finished.
 type FuncWorkload struct {
-	F        func(core *cpu.Core, d time.Duration) bool // cryptojack:hostonly -- host closure, re-supplied on restore
+	F        func(core *cpu.Core, d time.Duration) bool // host closure, re-supplied on restore
 	finished bool
 }
 

@@ -11,9 +11,8 @@ import (
 
 // tableGen hands out the per-table generation numbers. A plain counter —
 // not host time, not randomness — so runs stay reproducible; uniqueness
-// is all consumers need. Generation values are cache-identity tags only.
-//
-//cryptojack:hostonly
+// is all consumers need. Generation values are cache-identity tags only,
+// never simulation results.
 var tableGen atomic.Uint64
 
 // TagTable is an immutable set of opcodes the decode stage tags. A nil
@@ -26,9 +25,9 @@ var tableGen atomic.Uint64
 // generation, so stale pre-counts are detected with one integer compare
 // instead of a table diff.
 type TagTable struct {
-	name string           // cryptojack:immutable
+	name string           // immutable after construction
 	gen  uint64           // cache-identity tag, re-assigned on rebuild
-	tags [isa.NumOps]bool // cryptojack:immutable
+	tags [isa.NumOps]bool // immutable after construction
 }
 
 // NewTagTable builds a table tagging all opcodes whose class intersects
