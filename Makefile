@@ -44,14 +44,14 @@ perfbench-check:
 	cd perfbench && $(GO) vet . && $(GO) test .
 
 # The second line reruns the scheduler's serial/parallel differential tests
-# at -cpu 1 and 4: at GOMAXPROCS=1 the work-stealing pool has zero thieves
-# and the scheduler goroutine claims every core itself. test and race skip
+# and the worker pool's tests at -cpu 1 and 4: at GOMAXPROCS=1 the pool has
+# no helper goroutine and the calling goroutine claims every item itself. test and race skip
 # cryptojacklint's TestAnnotatedTreeClean, a whole-module lint in a
 # subprocess: `make lint` runs the same lint once, under its budget (a bare
 # `go test ./...` still includes it).
 test:
 	$(GO) test -skip '^TestAnnotatedTreeClean$$' ./...
-	$(GO) test -run 'Parallel|RunUntilAlert|Accessors|Callback' -cpu 1,4 ./internal/kernel
+	$(GO) test -run 'Parallel|RunUntilAlert|Accessors|Callback|Pool' -cpu 1,4 ./internal/kernel ./internal/pool
 
 # Documentation gate: vet plus a doc.go package comment for every
 # internal package (the per-package paper tie-ins; see OBSERVABILITY.md

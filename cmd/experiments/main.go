@@ -37,16 +37,9 @@ func run(args []string) error {
 	window := fs.Uint64("window", experiments.DefaultWindow, "instruction window for characterizations")
 	markdown := fs.Bool("markdown", false, "emit GitHub markdown instead of plain tables")
 	seed := fs.Int64("seed", 7, "dataset seed for the ML experiment")
-	parallel := fs.Bool("parallel", false, "parallel quantum execution for hour-scale kernels (identical results, see DESIGN.md)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	experiments.Parallel = *parallel
-	mode := "serial"
-	if *parallel {
-		mode = "parallel"
-	}
-	fmt.Fprintf(os.Stderr, "experiments: %s quantum execution\n", mode)
 
 	type gen func() ([]experiments.Table, error)
 

@@ -4,7 +4,7 @@
 // configurable fraction of machines), runs a span of simulated time, and
 // reports the service-level numbers that matter at scale — sustained
 // hosts per second, aggregate alert latency, per-worker busy fractions,
-// the scheduler's steal and fast-forward totals, and the live heap — in
+// the scheduler's fast-forward total, and the live heap — in
 // the benchjson schema so runs can be committed and diffed like
 // benchmarks.
 //
@@ -150,10 +150,9 @@ func tenantSet(n int) map[string]bool {
 }
 
 // report distills the fleet registry into the load summary: hosts/sec,
-// aggregate alert latency, per-worker busy fractions (workers, not home
-// batches: a worker's busy time includes the machines it stole, so these
-// fractions describe where host CPU actually went), and steal /
-// fast-forward totals.
+// aggregate alert latency, per-worker busy fractions (the host time each
+// worker spent advancing the machines it claimed), and the fast-forward
+// total.
 func report(f *fleet.Fleet, wall time.Duration, tasks int) []result {
 	eff := f.Config()
 	simSec := f.Now().Seconds()
@@ -187,8 +186,6 @@ func report(f *fleet.Fleet, wall time.Duration, tasks int) []result {
 			}
 		case "fleet_bbcache_shared_hits_total":
 			m["bbcache_shared_hits"] = float64(mt.Value)
-		case "fleet_steals_total":
-			m["steal_total"] = float64(mt.Value)
 		case "fleet_fastforward_rounds_total":
 			m["fastforward_rounds_total"] = float64(mt.Value)
 		case "fleet_worker_busy_ns_total":

@@ -5,14 +5,6 @@ import (
 	"strings"
 )
 
-// Parallel selects parallel quantum execution for the kernels built by
-// the hour-scale experiments. Off by default: the rate-model workloads
-// are cheap per quantum, so worker dispatch overhead usually outweighs
-// the concurrency win, and serial keeps runs trivially reproducible.
-// Results are identical either way (see DESIGN.md, "Determinism and
-// concurrency model"); cmd/experiments exposes this as -parallel.
-var Parallel bool
-
 // Table is a rendered experiment result.
 type Table struct {
 	ID      string // e.g. "fig5", "table4"

@@ -54,9 +54,10 @@ func hourRun(name string, tags *microcode.TagTable, scale HourScale, spawn func(
 	machine.InstallTagTable(tags)
 	kcfg := kernel.DefaultConfig()
 	// Use a coarse 40ms slice for hour-scale runs: 100x fewer quanta, and
-	// rate models are insensitive to slice length.
+	// rate models are insensitive to slice length. Serial: rate-model
+	// quanta are too cheap for the execute pool's dispatch to pay off.
 	kcfg.TimeSlice = 40 * time.Millisecond
-	kcfg.Parallel = Parallel
+	kcfg.Parallel = false
 	k := kernel.New(machine, kcfg)
 	spawn(k)
 	k.Run(time.Duration(float64(time.Hour) * float64(scale)))
@@ -249,7 +250,7 @@ func Figure14() (Table, error) {
 			return nil, err
 		}
 		kcfg := kernel.DefaultConfig()
-		kcfg.Parallel = Parallel
+		kcfg.Parallel = false
 		k := kernel.New(machine, kcfg)
 		spawn(k)
 		var pts []float64

@@ -82,7 +82,7 @@ func ThrottlingDetection() (Table, error) {
 			return Table{}, err
 		}
 		kcfg := kernel.DefaultConfig()
-		kcfg.Parallel = Parallel
+		kcfg.Parallel = false
 		kcfg.Tunables.Period = 5 * time.Second // shorter window, same rate math
 		k := kernel.New(machine, kcfg)
 		miner.SpawnMiner(k, miner.Monero, throttle, 4, 1000)

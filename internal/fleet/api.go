@@ -48,7 +48,6 @@ type fleetSummary struct {
 // machineSummary is one GET /api/v1/machines entry.
 type machineSummary struct {
 	ID        int   `json:"id"`
-	Shard     int   `json:"shard"`
 	Placed    int   `json:"placed"`
 	Tasks     int   `json:"tasks"`
 	SimTimeMs int64 `json:"sim_time_ms"`
@@ -121,7 +120,7 @@ func (f *Fleet) handleFleet(w http.ResponseWriter, r *http.Request) {
 	f.mu.Lock()
 	s := fleetSummary{
 		Machines:   len(f.members),
-		Shards:     len(f.workers),
+		Shards:     f.cfg.Shards,
 		RoundMs:    f.cfg.Round.Milliseconds(),
 		SimTimeMs:  f.simTime.Milliseconds(),
 		Rounds:     f.rounds,
@@ -215,7 +214,6 @@ func (f *Fleet) handleMachines(w http.ResponseWriter, r *http.Request) {
 	for _, mem := range f.members {
 		out = append(out, machineSummary{
 			ID:        mem.ID,
-			Shard:     mem.Shard,
 			Placed:    mem.placed,
 			Tasks:     len(mem.M.Kernel().Tasks()),
 			SimTimeMs: mem.M.Now().Milliseconds(),

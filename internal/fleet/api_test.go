@@ -9,6 +9,7 @@ import (
 	"net/url"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -210,23 +211,25 @@ func TestAPISubmitBacklog(t *testing.T) {
 			strings.NewReader(`{"tenant":"t","kind":"app","app":"Slack"}`)))
 		return rec
 	}
-	var codes []int
-	var refused *httptest.ResponseRecorder
-	f.hookRoundStart = func(id int) {
-		if id != 0 || codes != nil {
-			return
-		}
-		for range maxPendingSubmissions + 1 {
-			rec := submit()
-			codes = append(codes, rec.Code)
-			refused = rec
-		}
-		f.mu.Lock()
-		defer f.mu.Unlock()
-		if f.placeID != maxPendingSubmissions || f.tenants["t"] != maxPendingSubmissions {
-			t.Errorf("refused submission changed placement state: placeID %d, tenant count %d, want %d",
-				f.placeID, f.tenants["t"], maxPendingSubmissions)
-		}
+	var (
+		once    sync.Once
+		codes   []int
+		refused *httptest.ResponseRecorder
+	)
+	f.hookRoundStart = func(int) {
+		once.Do(func() {
+			for range maxPendingSubmissions + 1 {
+				rec := submit()
+				codes = append(codes, rec.Code)
+				refused = rec
+			}
+			f.mu.Lock()
+			defer f.mu.Unlock()
+			if f.placeID != maxPendingSubmissions || f.tenants["t"] != maxPendingSubmissions {
+				t.Errorf("refused submission changed placement state: placeID %d, tenant count %d, want %d",
+					f.placeID, f.tenants["t"], maxPendingSubmissions)
+			}
+		})
 	}
 	f.Run(testConfig(2).Round)
 	if len(codes) != maxPendingSubmissions+1 {

@@ -1,8 +1,8 @@
 // Package fleet runs thousands of machine.Machine instances in one
 // process as a sharded, multi-tenant detection service.
 //
-// Machines are partitioned across per-shard worker goroutines and advance
-// in lock-step rounds of simulated time; at every round barrier the
+// Machines advance in lock-step rounds of simulated time, claimed one at
+// a time by a small worker pool (internal/pool); at every round barrier the
 // coordinator drains per-machine alert batches into one canonically
 // ordered stream (machine-ID order), which makes the stream bit-identical
 // across shard counts and across runs for the same seed and submission

@@ -287,10 +287,10 @@ func TestFleetObsRegistered(t *testing.T) {
 		names[n] = true
 	}
 	for _, want := range []string{
-		"fleet_workers", "fleet_machines", "fleet_rounds_total",
+		"fleet_workers", "fleet_rounds_total",
 		"fleet_machine_ms_total", "fleet_round_ns",
 		"fleet_worker_busy_ns_total", "fleet_worker_idle_ns_total",
-		"fleet_steals_total", "fleet_fastforward_rounds_total", "fleet_machine_advances_total",
+		"fleet_fastforward_rounds_total", "fleet_machine_advances_total",
 		"fleet_alerts_total", "fleet_alert_batches_total",
 		"fleet_alerts_dropped_total", "fleet_alert_latency_ms",
 		"fleet_submissions_total", "fleet_tenants", "fleet_tasks_placed_total",

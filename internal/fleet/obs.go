@@ -23,14 +23,12 @@ var (
 type fmetrics struct {
 	reg *obs.Registry
 
-	machines   []*obs.Gauge // per worker home batch
 	workers    *obs.Gauge
 	rounds     *obs.Counter
 	machineMs  *obs.Counter
 	roundNs    *obs.Histogram
 	workerBusy []*obs.Counter
 	workerIdle []*obs.Counter
-	steals     *obs.Counter
 	ffRounds   *obs.Counter
 	advances   *obs.Counter
 
@@ -60,9 +58,7 @@ func newFMetrics(reg *obs.Registry, shards int) *fmetrics {
 	m := &fmetrics{
 		reg: reg,
 		workers: reg.Gauge(obs.Desc{Name: "fleet_workers", Layer: obs.LayerFleet,
-			Unit: "workers", Help: "round workers advancing machines (home batches plus work stealing)"}),
-		steals: reg.Counter(obs.Desc{Name: "fleet_steals_total", Layer: obs.LayerFleet,
-			Unit: "machines", Help: "machine advances claimed from another worker's home batch"}),
+			Unit: "workers", Help: "round workers claiming due machines off the shared cursor"}),
 		ffRounds: reg.Counter(obs.Desc{Name: "fleet_fastforward_rounds_total", Layer: obs.LayerFleet,
 			Unit: "machine-rounds", Help: "machine-rounds advanced analytically by quiescent fast-forward instead of instruction dispatch"}),
 		advances: reg.Counter(obs.Desc{Name: "fleet_machine_advances_total", Layer: obs.LayerFleet,
@@ -108,12 +104,9 @@ func newFMetrics(reg *obs.Registry, shards int) *fmetrics {
 	}
 	for s := 0; s < shards; s++ {
 		label := obs.Label("worker", strconv.Itoa(s))
-		m.machines = append(m.machines, reg.Gauge(obs.Desc{
-			Name: "fleet_machines", Label: label, Layer: obs.LayerFleet,
-			Unit: "machines", Help: "machines in the worker's home batch"}))
 		m.workerBusy = append(m.workerBusy, reg.Counter(obs.Desc{
 			Name: "fleet_worker_busy_ns_total", Label: label, Layer: obs.LayerFleet,
-			Unit: "ns", Help: "host time the worker spent advancing machines (home batch plus steals)"}))
+			Unit: "ns", Help: "host time the worker spent advancing the machines it claimed"}))
 		m.workerIdle = append(m.workerIdle, reg.Counter(obs.Desc{
 			Name: "fleet_worker_idle_ns_total", Label: label, Layer: obs.LayerFleet,
 			Unit: "ns", Help: "host time the worker waited at round barriers (round wall minus busy)"}))

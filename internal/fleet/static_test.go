@@ -38,19 +38,46 @@ func TestCatalogIncludesMiners(t *testing.T) {
 // internal/workload's TestCryptoProgramsMatchReference checks against the
 // native references.
 func TestCatalogCryptoProgramsAreBaked(t *testing.T) {
-	f, err := New(testConfig(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.ensureCatalog()
 	for name, build := range map[string]func() *isa.Program{
 		"sha256":  workload.SHA2Program,
 		"keccak":  workload.SHA3Program,
 		"aes":     workload.AESProgram,
 		"blake2b": workload.Blake2bProgram,
 	} {
-		if !reflect.DeepEqual(f.catalog[name], build()) {
+		e, ok := catalogEntryFor(name)
+		if !ok || !reflect.DeepEqual(e.program, build()) {
 			t.Errorf("catalog %q is not workload's baked %s program", name, build().Name)
+		}
+	}
+}
+
+// TestCatalogSharedAcrossFleets: the catalog is built once per process,
+// so two fleets load every catalog name from the same *isa.Program image
+// (checked through the program a machine's core actually ran).
+func TestCatalogSharedAcrossFleets(t *testing.T) {
+	loaded := func(name string) *isa.Program {
+		t.Helper()
+		f, err := New(testConfig(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Submit(WorkloadSpec{Tenant: "acme", Kind: KindProgram, Program: name}); err != nil {
+			t.Fatal(err)
+		}
+		f.Run(f.Config().Round)
+		ctx := f.Members()[0].M.CPU().Core(0).Context()
+		if ctx == nil {
+			t.Fatalf("%s: core 0 never loaded the program", name)
+		}
+		return ctx.Prog
+	}
+	f, err := New(testConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range f.Catalog() {
+		if a, b := loaded(name), loaded(name); a != b {
+			t.Errorf("%s: two fleets loaded distinct program images %p and %p", name, a, b)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package fleet
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"darkarts/internal/gsa"
 	"darkarts/internal/isa"
@@ -74,8 +73,6 @@ var ErrSubmitBacklog = errors.New("fleet: deferred-submission queue full; retry 
 type Placement struct {
 	// Machine is the member the workload was (or will be) spawned on.
 	Machine int `json:"machine"`
-	// Shard is that member's worker shard.
-	Shard int `json:"shard"`
 	// Tgids are the spawned thread groups (one per task; a miner spawns
 	// Threads thread groups). Empty when Deferred.
 	Tgids []int `json:"tgids,omitempty"`
@@ -96,53 +93,53 @@ type boundSpec struct {
 	member *Member
 }
 
-// Catalog returns the fleet's shared ISA program catalog names, sorted.
-// Every machine loads catalog programs from the same *isa.Program image,
-// which is what lets the fleet-scope decoded-block cache keep one decoded
-// copy of each block for the whole fleet — a memory saving more than a
-// decode-time one.
-func (f *Fleet) Catalog() []string {
-	f.ensureCatalog()
-	names := make([]string, 0, len(f.catalog))
-	for n := range f.catalog {
-		names = append(names, n)
+// catalogEntry is one fleet catalog program: its shared image and its
+// guest static-analysis profile.
+type catalogEntry struct {
+	name    string
+	program *isa.Program
+	profile gsa.StaticProfile
+}
+
+// catalog is the fleet program catalog, in name order, built once per
+// process: every machine of every fleet loads a catalog program from the
+// same *isa.Program image, which is what lets a fleet-scope decoded-block
+// cache keep one decoded copy of each block — a memory saving more than a
+// decode-time one. The crypto entries are the workload package's
+// baked-input programs: each hashes a whole message per run, then halts
+// and restarts. Immutable after init.
+var catalog = func() []catalogEntry {
+	entries := []catalogEntry{
+		{name: "aes", program: workload.AESProgram()},
+		{name: "blake2b", program: workload.Blake2bProgram()},
+		{name: "keccak", program: workload.SHA3Program()},
+		{name: "sha256", program: workload.SHA2Program()},
+		{name: "xmr-isa", program: workload.XMRMinerProgram()},
+		{name: "zec-isa", program: workload.ZecMinerProgram()},
 	}
-	sort.Strings(names)
+	for i := range entries {
+		entries[i].profile = gsa.Analyze(entries[i].program)
+	}
+	return entries
+}()
+
+// catalogEntryFor finds a catalog program by name.
+func catalogEntryFor(name string) (*catalogEntry, bool) {
+	for i := range catalog {
+		if catalog[i].name == name {
+			return &catalog[i], true
+		}
+	}
+	return nil, false
+}
+
+// Catalog returns the fleet's ISA program catalog names, sorted.
+func (f *Fleet) Catalog() []string {
+	names := make([]string, len(catalog))
+	for i, e := range catalog {
+		names[i] = e.name
+	}
 	return names
-}
-
-// ensureCatalog builds the shared program images once and statically
-// analyzes each; concurrent callers (API handlers, Submit) synchronize on
-// the Once and the maps are immutable afterwards. The crypto entries are
-// the workload package's baked-input programs: each hashes a whole
-// message per run, then halts and restarts.
-func (f *Fleet) ensureCatalog() {
-	f.catalogOnce.Do(func() {
-		f.catalog = map[string]*isa.Program{
-			"sha256":  workload.SHA2Program(),
-			"keccak":  workload.SHA3Program(),
-			"aes":     workload.AESProgram(),
-			"blake2b": workload.Blake2bProgram(),
-			"xmr-isa": workload.XMRMinerProgram(),
-			"zec-isa": workload.ZecMinerProgram(),
-		}
-		names := make([]string, 0, len(f.catalog))
-		for n := range f.catalog {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		f.catProfiles = make(map[string]gsa.StaticProfile, len(f.catalog))
-		for _, n := range names {
-			f.catProfiles[n] = gsa.Analyze(f.catalog[n])
-		}
-	})
-}
-
-// staticProfile returns the catalog program's static profile (catalog must
-// already be ensured).
-func (f *Fleet) staticProfile(name string) (gsa.StaticProfile, bool) {
-	p, ok := f.catProfiles[name]
-	return p, ok
 }
 
 // Submit validates spec, picks a member (least workloads placed, ties to
@@ -164,8 +161,8 @@ func (f *Fleet) Submit(spec WorkloadSpec) (Placement, error) {
 	// any placement state changes.
 	var static *gsa.StaticProfile
 	if spec.Kind == KindProgram {
-		prof, ok := f.staticProfile(spec.Program)
-		if ok {
+		if e, ok := catalogEntryFor(spec.Program); ok {
+			prof := e.profile
 			static = &prof
 			if f.om != nil {
 				f.om.gsaAnalyzed.Inc()
@@ -198,7 +195,7 @@ func (f *Fleet) Submit(spec WorkloadSpec) (Placement, error) {
 		f.om.submissions.Inc()
 		f.om.tenants.Set(int64(len(f.tenants)))
 	}
-	pl := Placement{Machine: mem.ID, Shard: mem.Shard, Static: static}
+	pl := Placement{Machine: mem.ID, Static: static}
 	if f.running {
 		f.pendingSub = append(f.pendingSub, boundSpec{spec: spec, member: mem})
 		pl.Deferred = true
@@ -232,8 +229,7 @@ func (f *Fleet) validate(spec WorkloadSpec) error {
 			return fmt.Errorf("fleet: miner threads %d above %d", spec.Threads, maxMinerThreads)
 		}
 	case KindProgram:
-		f.ensureCatalog()
-		if _, ok := f.catalog[spec.Program]; !ok {
+		if _, ok := catalogEntryFor(spec.Program); !ok {
 			return fmt.Errorf("fleet: unknown catalog program %q (have %v)", spec.Program, f.Catalog())
 		}
 		// IPS sets how many instructions each slice runs. Above the clock a
@@ -297,21 +293,19 @@ func (f *Fleet) applyLocked(spec WorkloadSpec, mem *Member) ([]int, error) {
 			tgids = append(tgids, t.Tgid)
 		}
 	case KindProgram:
-		f.ensureCatalog()
+		e, _ := catalogEntryFor(spec.Program) // validated by Submit
 		ips := spec.IPS
 		if ips == 0 {
 			ips = 200_000
 		}
-		t, err := mem.M.SpawnProgram(spec.Program, f.catalog[spec.Program], ips, true)
+		t, err := mem.M.SpawnProgram(spec.Program, e.program, ips, true)
 		if err != nil {
 			return nil, err
 		}
 		// Under flag/reject the thread group carries the static prior, so
 		// the member kernel confirms flagged programs on shortened windows.
 		if f.cfg.StaticPolicy != StaticAdmit {
-			if prof, ok := f.staticProfile(spec.Program); ok {
-				t.RSX().SetStaticPrior(prof.RiskScore, prof.Flagged())
-			}
+			t.RSX().SetStaticPrior(e.profile.RiskScore, e.profile.Flagged())
 		}
 		tgids = append(tgids, t.Tgid)
 	}

@@ -7,7 +7,7 @@
 //
 // Every quantum takes one path: plan, execute, merge, deliver alerts. The
 // execute phase runs core by core on the scheduler goroutine, or through a
-// work-stealing pool (Config.Parallel); either way the merge applies the
+// claim-cursor worker pool (Config.Parallel, internal/pool); either way the merge applies the
 // accounting after the execute barrier in plan order, and the quantum's
 // alerts reach OnAlert before the next quantum starts. When Config.Obs is
 // non-nil the kernel instruments every phase: quantum counts,

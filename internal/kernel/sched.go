@@ -4,11 +4,11 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"darkarts/internal/cpu"
 	"darkarts/internal/obs"
+	"darkarts/internal/pool"
 )
 
 // AlertScope identifies which aggregation level tripped the threshold.
@@ -54,17 +54,16 @@ type Config struct {
 	// housekeeping (counter read, tgid_rsx_t update, window check). It
 	// feeds the performance-overhead experiments; zero means free.
 	SampleCost uint64
-	// Parallel executes each quantum's packed slices through a
-	// work-stealing pool: persistent thief goroutines plus the scheduler
-	// goroutine itself claim whole cores off a shared cursor. Accounting
-	// still runs after the execute barrier in plan order, so results are
-	// bit-identical to serial execution. The thief pool is sized to the
-	// host's spare hardware parallelism, so on a single-hardware-thread
-	// host the quantum degrades to a lean sweep with no goroutine
-	// round-trips. The kernel silently falls back to serial when the
-	// machine is single-core, runs the detailed engine (cross-core MESI/L2
-	// state makes interleaving semantically meaningful), or has a
-	// retirement observer attached.
+	// Parallel executes each quantum's packed slices through a worker
+	// pool (internal/pool): the scheduler goroutine and up to one helper
+	// goroutine per spare hardware thread claim whole cores off a shared
+	// cursor. Accounting still runs after the execute barrier in plan
+	// order, so results are bit-identical to serial execution. On a
+	// single-hardware-thread host the pool has no helper, and the quantum
+	// degrades to a lean sweep with no goroutine round-trips. The kernel
+	// silently falls back to serial when the machine is single-core, runs
+	// the detailed engine (cross-core MESI/L2 state makes interleaving
+	// semantically meaningful), or has a retirement observer attached.
 	Parallel bool
 	// Obs is the metrics registry the kernel instruments itself into:
 	// scheduler phase timings, per-core busy/idle split, TLB and
@@ -141,15 +140,10 @@ type Kernel struct {
 	// probed, so an ineligible probe can restore the queue exactly.
 	ffScratch []*Task
 
-	// Work-stealing execute phase: claim hands out core indices; thieves
-	// and the scheduler goroutine each take a core at a time and run its
-	// packed slices. workers is nil when serial; parallelRun marks an
-	// active pool for execute. Host-side execution machinery: the pool
-	// shape never influences results (bit-identical to serial).
-	claim       atomic.Int64
-	workers     []*stealWorker
-	workerWG    sync.WaitGroup
-	parallelRun bool
+	// pool runs the parallel execute phase, one core per item; nil when
+	// serial. Host-side execution machinery: the pool shape never
+	// influences results (bit-identical to serial).
+	pool *pool.Pool
 
 	// om holds the pre-resolved observability handles (nil when
 	// Config.Obs is nil; see obs.go). Host-side telemetry only.
@@ -315,43 +309,13 @@ func (k *Kernel) parallelEligible() bool {
 	return true
 }
 
-// stealWorker is one thief goroutine of the work-stealing execute phase.
-// It carries no core affinity: each quantum it claims whole cores off the
-// shared cursor until none remain.
-type stealWorker struct {
-	k     *Kernel
-	start chan struct{}
-}
-
-func (w *stealWorker) loop() {
-	for range w.start {
-		w.k.stealCores()
-		w.k.workerWG.Done()
-	}
-}
-
-// stealCores claims cores off the shared cursor and runs each one's
-// packed slices until every core has been taken. Both the thieves and the
-// scheduler goroutine run this, so the quantum never blocks on goroutine
-// wakeup latency when the host has no spare hardware threads.
-func (k *Kernel) stealCores() {
-	n := k.machine.Cores()
-	for {
-		c := int(k.claim.Add(1)) - 1
-		if c >= n {
-			return
-		}
-		k.runCoreSlices(c)
-	}
-}
-
 // runCoreSlices runs core c's run of the plan, in pack order, sampling
 // the core's RSX counter after each slice (the paper's context-switch
 // read). It is the only routine that executes planned slices: the serial
-// sweep, the work-stealing pool and fast-forward's crossing quanta all
-// call it. It touches only per-core state: the core, its counter bank,
-// its coreLast entry, its deltas slots, and (when instrumented) its
-// coreBusy scratch slot — so distinct cores run concurrently without
+// sweep, the execute pool and fast-forward's crossing quanta all call it.
+// It touches only per-core state: the core, its counter bank, its
+// coreLast entry, its deltas slots, and (when instrumented) its coreBusy
+// scratch slot — so distinct cores run concurrently without
 // synchronization.
 func (k *Kernel) runCoreSlices(c int) {
 	core := k.machine.Core(c)
@@ -373,35 +337,23 @@ func (k *Kernel) runCoreSlices(c int) {
 	k.coreLast[c] = last
 }
 
-// startWorkers spins up the thief pool if the parallel path is eligible,
-// returning a stop function. The pool is sized min(cores-1, GOMAXPROCS-1):
-// the scheduler goroutine always participates in stealing, so thieves only
-// cover the hardware parallelism beyond it — on a single-hardware-thread
-// host the pool is empty and quanta run without any goroutine round-trips.
-// Thieves persist across all quanta of one Run call and are torn down on
-// return so kernels never leak goroutines.
-func (k *Kernel) startWorkers() (stop func()) {
+// startPool opens the execute pool when the parallel path is eligible,
+// returning a func that closes it. The pool has min(cores, GOMAXPROCS)
+// workers: the scheduler goroutine is worker 0, so the extra goroutines
+// only cover the hardware parallelism beyond it — on a
+// single-hardware-thread host the pool has no extra goroutine and quanta
+// run without any goroutine round-trips. The pool lives for one Run call,
+// so kernels never leak goroutines.
+func (k *Kernel) startPool() (stop func()) {
 	if !k.parallelEligible() {
 		return func() {}
 	}
-	k.parallelRun = true
-	n := k.machine.Cores() - 1
-	//lint:ignore determinism sizes the thief pool only; the serial/parallel differential tests pin results equal at -cpu 1 and 4
-	if spare := runtime.GOMAXPROCS(0) - 1; n > spare {
-		n = spare
-	}
-	k.workers = make([]*stealWorker, n)
-	for i := range k.workers {
-		w := &stealWorker{k: k, start: make(chan struct{}, 1)}
-		k.workers[i] = w
-		go w.loop()
-	}
+	//lint:ignore determinism sizes the execute pool only; the serial/parallel differential tests pin results equal at -cpu 1 and 4
+	workers := min(k.machine.Cores(), runtime.GOMAXPROCS(0))
+	k.pool = pool.New(workers, func(_, c int) { k.runCoreSlices(c) })
 	return func() {
-		for _, w := range k.workers {
-			close(w.start)
-		}
-		k.workers = nil
-		k.parallelRun = false
+		k.pool.Close()
+		k.pool = nil
 	}
 }
 
@@ -412,7 +364,7 @@ func (k *Kernel) Run(d time.Duration) { k.RunTo(k.Now() + d) }
 // the absolute simulated time end, scheduling runnable tasks round-robin
 // across all cores in time-slice quanta.
 func (k *Kernel) RunTo(end time.Duration) {
-	stop := k.startWorkers()
+	stop := k.startPool()
 	defer stop()
 	for k.Now() < end {
 		k.quantum()
@@ -424,7 +376,7 @@ func (k *Kernel) RunTo(end time.Duration) {
 // call returns on the exact quantum the alert fires, with its accounting
 // complete — no alerts are lost or duplicated across the barrier.
 func (k *Kernel) RunUntilAlert(d time.Duration) bool {
-	stop := k.startWorkers()
+	stop := k.startPool()
 	defer stop()
 	end := k.Now() + d
 	for k.Now() < end {
@@ -439,7 +391,7 @@ func (k *Kernel) RunUntilAlert(d time.Duration) bool {
 //
 //  1. plan: pick tasks for all cores (a task occupies at most one core);
 //  2. execute: run every planned slice and sample per-slice RSX deltas —
-//     core by core (serial) or via the work-stealing pool (parallel);
+//     core by core (serial) or via the execute pool (parallel);
 //  3. merge: rebuild the ready queue, then apply the per-slice accounting
 //     (counter deltas, window checks, alerts) in plan order.
 //
@@ -468,7 +420,7 @@ func (k *Kernel) quantum() int {
 	k.rebuildRunq()
 	k.accountPlan()
 	if k.om != nil {
-		k.om.observeQuantum(k, k.parallelRun, mergeStart.Sub(execStart), time.Since(mergeStart))
+		k.om.observeQuantum(k, k.pool != nil, mergeStart.Sub(execStart), time.Since(mergeStart))
 	}
 	k.now += k.cfg.TimeSlice
 	fired := k.alerts[base:len(k.alerts):len(k.alerts)]
@@ -479,10 +431,10 @@ func (k *Kernel) quantum() int {
 
 // execute is the execute phase: every core's run of the plan through
 // runCoreSlices, core by core on the calling goroutine (skipping cores
-// with nothing planned), or claimed off the shared cursor by the
-// work-stealing pool when one is running.
+// with nothing planned), or one core per item of the execute pool when
+// one is open.
 func (k *Kernel) execute() {
-	if !k.parallelRun {
+	if k.pool == nil {
 		for c := range k.machine.Cores() {
 			if k.coreStart[c] < k.coreStart[c+1] {
 				k.runCoreSlices(c)
@@ -490,20 +442,9 @@ func (k *Kernel) execute() {
 		}
 		return
 	}
-	k.claim.Store(0)
-	k.workerWG.Add(len(k.workers))
-	for _, w := range k.workers {
-		w.start <- struct{}{}
-	}
-	k.stealCores()
-	var waitStart time.Time
+	wait := k.pool.Run(k.machine.Cores())
 	if k.om != nil {
-		//lint:ignore determinism host wall clock feeds the barrier-wait metric only, never simulation state
-		waitStart = time.Now()
-	}
-	k.workerWG.Wait()
-	if k.om != nil {
-		k.om.mergeWaitNs.Add(uint64(time.Since(waitStart)))
+		k.om.mergeWaitNs.Add(uint64(wait))
 	}
 }
 
