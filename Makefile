@@ -43,15 +43,17 @@ build:
 perfbench-check:
 	cd perfbench && $(GO) vet . && $(GO) test .
 
-# The second line reruns the scheduler's serial/parallel differential tests
-# and the worker pool's tests at -cpu 1 and 4: at GOMAXPROCS=1 the pool has
-# no helper goroutine and the calling goroutine claims every item itself. test and race skip
+# The second line reruns the scheduler's serial/parallel differential tests,
+# the worker pool's tests and the CPU's block-store (SharedBlocks) tests at
+# -cpu 1 and 4: at GOMAXPROCS=1 the pool has no helper goroutine and the
+# calling goroutine claims every item itself, and cores fill the store's
+# shared tables with and without real parallelism. test and race skip
 # cryptojacklint's TestAnnotatedTreeClean, a whole-module lint in a
 # subprocess: `make lint` runs the same lint once, under its budget (a bare
 # `go test ./...` still includes it).
 test:
 	$(GO) test -skip '^TestAnnotatedTreeClean$$' ./...
-	$(GO) test -run 'Parallel|RunUntilAlert|Accessors|Callback|Pool' -cpu 1,4 ./internal/kernel ./internal/pool
+	$(GO) test -run 'Parallel|RunUntilAlert|Accessors|Callback|Pool|SharedBlocks' -cpu 1,4 ./internal/kernel ./internal/pool ./internal/cpu
 
 # Documentation gate: vet plus a doc.go package comment for every
 # internal package (the per-package paper tie-ins; see OBSERVABILITY.md

@@ -80,7 +80,7 @@ func run(args []string) error {
 
 	// Submission schedule: deterministic in (machines, procs, miner-every,
 	// seed). Apps dominate; every 4th benign slot is a catalog ISA program
-	// so the shared decoded-block cache sees real decode traffic.
+	// so the fleet's decoded-block store sees real decode traffic.
 	apps := workload.TableIIApps()
 	catalog := f.Catalog()
 	tasks := 0

@@ -23,27 +23,21 @@ import (
 // update.
 //
 // A block is immutable once buildBlock returns, which is what lets the
-// fleet-scope cache (sharedbb.go) hand one block to every core by pointer.
+// CPU's block store (sharedbb.go) hand one block to every core by pointer.
 // Pre-counts are only valid for the tag table they were computed under, so
-// each program's block table is keyed by the table's generation number
+// the store keeps one block table per program and tag-table generation
 // (microcode.TagTable.Gen): after a firmware update installs a table with a
-// new generation, the next Run call of a program drops that program's table
-// and its blocks are fetched from the shared cache under the new generation
-// or decoded again. Observer-attached cores and the detailed engine bypass
-// the cache entirely — they need exact per-instruction retirement order,
-// which block-batched accounting does not provide.
+// new generation, the next Run call of a program attaches the core to that
+// program's table under the new generation, whose blocks are decoded
+// afresh. Observer-attached cores and the detailed engine bypass the cache
+// entirely — they need exact per-instruction retirement order, which
+// block-batched accounting does not provide.
 
 // maxBlockLen caps a cached block's instruction count. The per-block tag
 // set is a single uint64 bitmask (bit i = instruction i is tagged), which
 // both bounds the decode cost of a partial retire and keeps blocks small
 // enough that a mid-quantum slice boundary rarely splits one.
 const maxBlockLen = 64
-
-// maxCachedProgs bounds the per-core program map. The whole cache is
-// dropped when a core has seen more distinct programs than this (a
-// capacity invalidation); steady-state schedulers run far fewer programs
-// per core.
-const maxCachedProgs = 32
 
 // BBLenBounds are the inclusive upper bounds of the insts-per-block
 // histogram buckets reported in BBStats.LenCounts (the last bucket is
@@ -61,13 +55,13 @@ const bbLenBuckets = 7
 // the scheduler's quantum barrier (as the kernel's merge phase does) before
 // reading them for another core.
 type BBStats struct {
-	// Hits and Misses count block lookups: a miss decodes and caches a new
-	// block, a hit reuses one.
+	// Hits and Misses count block lookups: a miss is a block this core
+	// decoded into the store, a hit one it found there (decoded by this
+	// core or by any other core on the same store).
 	Hits   uint64
 	Misses uint64
-	// Invalidations counts per-program table drops after tag-table
-	// generation changes plus whole-cache capacity evictions (more than
-	// maxCachedProgs distinct programs).
+	// Invalidations counts per-program table switches after tag-table
+	// generation changes.
 	Invalidations uint64
 	// LenCounts histograms the retired-instructions-per-block-execution
 	// distribution over the BBLenBounds buckets; LenSum is the total
@@ -83,7 +77,7 @@ type opCount struct {
 }
 
 // bbBlock is one decoded basic block with its pre-computed retire effects.
-// It is never written after buildBlock returns: cores and the shared cache
+// It is never written after buildBlock returns: cores and the block store
 // alias it freely.
 type bbBlock struct {
 	// ops aliases Prog.Code[pc : pc+len] (programs are immutable once
@@ -101,24 +95,19 @@ type bbBlock struct {
 	hist []opCount
 }
 
-// blockCache is a core's private translation cache. All state is owned by
-// the core's execution goroutine; the kernel reads stats at quantum merge.
+// blockCache is a core's view of its CPU's block store: for each program
+// the core has run, the store's table under the generation the core last
+// ran it with. All state is owned by the core's execution goroutine; the
+// kernel reads stats at quantum merge.
 type blockCache struct {
-	progs map[*isa.Program]*progBlocks
+	progs map[*isa.Program]progTable
 	stats BBStats
 }
 
-// progBlocks holds one program's decoded blocks, densely indexed by entry
-// pc (nil = not yet decoded). Entering the middle of a cached block (a
-// branch target, or a slice boundary that split a block) simply decodes a
-// new block starting there; both stay cached.
-//
-// gen is the tag-table generation the blocks' pre-counts were computed
-// under. Generation is tracked per program so a firmware swap only touches
-// programs as they next run: a stale program's table is replaced by a fresh
-// one, other programs keep theirs until they run.
-type progBlocks struct {
-	blocks []*bbBlock
+// progTable is one program's entry in a core's map. Generation is tracked
+// per program so a firmware swap only touches programs as they next run.
+type progTable struct {
+	blocks blockTable
 	gen    uint64
 }
 
@@ -126,26 +115,21 @@ type progBlocks struct {
 // (all zero when the cache is disabled or bypassed).
 func (c *Core) BlockCacheStats() BBStats { return c.bb.stats }
 
-// lookup installs a fresh block table for prog under generation gen, on
-// first sight or after a firmware swap left prog's table stale. Each drop
-// counts one invalidation: the stale program's table alone (other
-// programs keep theirs until they run), or the whole cache when a core has
-// seen more than maxCachedProgs programs.
+// attach maps prog to the store's table under generation gen, on first
+// sight or after a firmware swap left prog's entry stale; a stale entry
+// counts one invalidation. The map is bounded like the store: it starts
+// afresh past maxSharedProgs programs.
 //
 //cryptojack:coldpath
-func (bc *blockCache) lookup(prog *isa.Program, gen uint64) *progBlocks {
+func (bc *blockCache) attach(store *SharedBlocks, prog *isa.Program, gen uint64) blockTable {
 	if _, stale := bc.progs[prog]; stale {
 		bc.stats.Invalidations++
-	} else if len(bc.progs) >= maxCachedProgs {
-		bc.stats.Invalidations++
-		bc.progs = nil
+	} else if bc.progs == nil || len(bc.progs) >= maxSharedProgs {
+		bc.progs = make(map[*isa.Program]progTable, 4)
 	}
-	if bc.progs == nil {
-		bc.progs = make(map[*isa.Program]*progBlocks, 4)
-	}
-	pb := &progBlocks{blocks: make([]*bbBlock, len(prog.Code)), gen: gen}
-	bc.progs[prog] = pb
-	return pb
+	t := store.table(prog, gen)
+	bc.progs[prog] = progTable{blocks: t, gen: gen}
+	return t
 }
 
 // buildBlock decodes the basic block starting at pc: a maximal straight-line
@@ -195,11 +179,11 @@ func (c *Core) runFastBlocks(maxInsts uint64) uint64 {
 	characterizing := c.bank.Characterizing()
 
 	gen := tags.Gen()
-	pb := c.bb.progs[ctx.Prog]
-	if pb == nil || pb.gen != gen {
-		pb = c.bb.lookup(ctx.Prog, gen)
+	pt, ok := c.bb.progs[ctx.Prog]
+	if !ok || pt.gen != gen {
+		pt.blocks = c.bb.attach(c.shared, ctx.Prog, gen)
 	}
-	blocks := pb.blocks
+	blocks := pt.blocks
 
 	var n, rsx uint64
 	for n < maxInsts {
@@ -208,14 +192,10 @@ func (c *Core) runFastBlocks(maxInsts uint64) uint64 {
 			c.fault(ErrPCOutOfRange)
 			break
 		}
-		blk := blocks[pc]
+		blk := blocks[pc].Load()
 		if blk == nil {
 			c.bb.stats.Misses++
-			if blk = c.shared.get(ctx.Prog, gen, pc); blk == nil {
-				blk = buildBlock(code, pc, tags)
-				c.shared.put(ctx.Prog, gen, pc, blk)
-			}
-			blocks[pc] = blk
+			blk = c.shared.decode(blocks, code, pc, tags)
 		} else {
 			c.bb.stats.Hits++
 		}

@@ -1,6 +1,7 @@
 package cpu_test
 
 import (
+	"runtime"
 	"testing"
 
 	"darkarts/internal/cpu"
@@ -83,5 +84,64 @@ func TestBlockEngineDoesNotAllocate(t *testing.T) {
 	if s := core.BlockCacheStats(); s.Misses != warm.Misses || s.LenSum-warm.LenSum != (runs+1)*slice {
 		t.Fatalf("measured runs decoded %d blocks and retired %d of %d instructions through the cache, want 0 and all",
 			s.Misses-warm.Misses, s.LenSum-warm.LenSum, (runs+1)*slice)
+	}
+}
+
+// TestSharedBlocksAdoptAllocs: attaching a core to a program's fully
+// published block table allocates the same number of bytes whatever the
+// program's length — the core maps the program to the store's table and
+// copies nothing. zec-isa has 2,440 instructions and sha2 142. Core 0
+// publishes every block a budget reaches (and maps the pages it touches);
+// core 1 then reruns the same budget over the same memory, so the bytes
+// core 1 allocates are its attach alone.
+func TestSharedBlocksAdoptAllocs(t *testing.T) {
+	const (
+		budget = 200_000
+		slice  = 10_000
+		base   = 0x100_0000
+	)
+	attachBytes := func(prog *isa.Program) uint64 {
+		store := cpu.NewSharedBlocks()
+		cfg := cpu.DefaultConfig()
+		cfg.Cores = 2
+		cfg.SharedBlocks = store
+		machine, err := cpu.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		load := func(core *cpu.Core) *cpu.ArchContext {
+			ctx, err := cpu.NewContext(prog, machine.Memory(), base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			core.LoadContext(ctx)
+			return ctx
+		}
+		run := func(core *cpu.Core, ctx *cpu.ArchContext) {
+			for n := uint64(0); n < budget && !ctx.Halted; {
+				n += core.Run(min(slice, budget-n))
+			}
+		}
+		run(machine.Core(0), load(machine.Core(0)))
+		published := store.Stats().Published
+		ctx := load(machine.Core(1))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run(machine.Core(1), ctx)
+		runtime.ReadMemStats(&after)
+		if s := store.Stats(); s.Published != published {
+			t.Fatalf("%s: adopting core published %d more blocks", prog.Name, s.Published-published)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	long, short := workload.ZecMinerProgram(), workload.SHA2Program()
+	if len(long.Code) <= 10*len(short.Code) {
+		t.Fatalf("%s (%d insts) is not much longer than %s (%d)", long.Name, len(long.Code), short.Name, len(short.Code))
+	}
+	// Runtime background allocations can land in the window; a per-pc
+	// table would differ by 8 bytes per instruction (over 18 KiB here).
+	lb, sb := attachBytes(long), attachBytes(short)
+	if diff := max(lb, sb) - min(lb, sb); diff > 1024 {
+		t.Fatalf("attaching allocated %d bytes for %s and %d for %s: the cost grows with program length", lb, long.Name, sb, short.Name)
 	}
 }

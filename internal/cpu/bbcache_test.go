@@ -47,10 +47,19 @@ const bbBase = 0x100_0000
 func runBB(t *testing.T, prog *isa.Program, eng engine, slice, budget uint64,
 	step func(*CPU, uint64)) bbOutcome {
 	t.Helper()
+	return runBBOn(t, prog, eng, nil, slice, budget, step)
+}
+
+// runBBOn is runBB on a machine wired to the given block store (nil = a
+// store of its own).
+func runBBOn(t *testing.T, prog *isa.Program, eng engine, store *SharedBlocks, slice, budget uint64,
+	step func(*CPU, uint64)) bbOutcome {
+	t.Helper()
 	cfg := DefaultConfig()
 	cfg.Cores = 1
 	cfg.Characterize = true
 	cfg.NoBlockCache = eng == engStep
+	cfg.SharedBlocks = store
 	machine, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -394,10 +403,10 @@ func TestTagTableGen(t *testing.T) {
 }
 
 // TestBlockCacheSwapGranularity is the per-program invalidation property:
-// a tag-table swap drops only the tables of programs that actually run
-// under the new generation — one invalidation tick and one re-decode each,
-// with pre-counts correct under the new table — while a program that has
-// not run since keeps its old table untouched.
+// after a tag-table swap, only programs that actually run under the new
+// generation move to a new table — one invalidation tick and one re-decode
+// each, with pre-counts correct under the new table — while a program that
+// has not run since keeps its old table untouched.
 func TestBlockCacheSwapGranularity(t *testing.T) {
 	mkLoop := func(name string, iters int64) *isa.Program {
 		b := isa.NewBuilder(name)
@@ -468,7 +477,7 @@ func TestBlockCacheSwapGranularity(t *testing.T) {
 	if got := core.Counters().RSX() - rsxWarm; got != 20 { // only ROLI tagged now
 		t.Fatalf("post-swap RSX delta for A = %d, want 20", got)
 	}
-	if core.bb.progs[progB] != staleB || staleB.gen == core.bb.progs[progA].gen {
+	if got := core.bb.progs[progB]; &got.blocks[0] != &staleB.blocks[0] || got.gen != staleB.gen || staleB.gen == core.bb.progs[progA].gen {
 		t.Fatal("running A replaced B's table")
 	}
 

@@ -52,11 +52,11 @@ type Config struct {
 	// (cache enabled) is the production configuration; the knob exists for
 	// differential testing and A/B benchmarks.
 	NoBlockCache bool
-	// SharedBlocks, when non-nil, lets this machine's cores share decoded
-	// basic blocks with every other machine wired to the same cache
-	// (sharedbb.go). Fleets pass one process-wide cache so a program image
-	// is decoded once per tag-table generation instead of once per core
-	// per machine; nil keeps decoding fully core-private.
+	// SharedBlocks, when non-nil, is the decoded-block store this
+	// machine's cores use, shared with every other machine wired to it
+	// (sharedbb.go). Fleets pass one process-wide store so a program image
+	// is decoded once per tag-table generation instead of once per machine;
+	// nil gives the machine a store of its own, shared by its cores.
 	SharedBlocks *SharedBlocks
 }
 

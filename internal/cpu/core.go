@@ -65,11 +65,12 @@ type Core struct {
 
 	tlb memTLB
 
-	// bb is the per-core basic-block translation cache (fast mode only;
-	// see bbcache.go). shared, when non-nil, is the fleet-scope decoded-
-	// block cache consulted on local misses (sharedbb.go).
+	// bb maps each program the core has run to its table in shared, the
+	// decoded-block store (fast mode only; see bbcache.go and sharedbb.go).
+	// shared is never nil: it is the CPU's own store, or one a fleet wires
+	// into all its machines.
 	bb     blockCache
-	shared *SharedBlocks // fleet-scope decode cache, rebuildable
+	shared *SharedBlocks // decoded-block store, rebuildable
 
 	// Detailed-mode timing state (see timing.go).
 	tm timing

@@ -40,6 +40,10 @@ func New(cfg Config) (*CPU, error) {
 	}
 	c := &CPU{cfg: cfg, mem: m, hier: hier}
 	c.tags.Store(microcode.RSX())
+	shared := cfg.SharedBlocks
+	if shared == nil {
+		shared = NewSharedBlocks()
+	}
 	for i := 0; i < cfg.Cores; i++ {
 		core := &Core{
 			id:     i,
@@ -48,7 +52,7 @@ func New(cfg Config) (*CPU, error) {
 			hier:   hier,
 			bank:   counters.New(cfg.Characterize),
 			tags:   &c.tags,
-			shared: cfg.SharedBlocks,
+			shared: shared,
 		}
 		if cfg.Mode == ModeDetailed {
 			core.tm.init(cfg)
@@ -79,11 +83,6 @@ func (c *CPU) TagTable() *microcode.TagTable { return c.tags.Load() }
 // InstallTagTable atomically replaces the decoder tag table on all cores.
 // This is the commit half of the OS-initiated firmware update flow.
 func (c *CPU) InstallTagTable(t *microcode.TagTable) { c.tags.Store(t) }
-
-// SecondsToCycles converts wall-clock seconds of simulated time to cycles.
-func (c *CPU) SecondsToCycles(s float64) uint64 {
-	return uint64(s * float64(c.cfg.FreqHz))
-}
 
 // String summarises the machine.
 func (c *CPU) String() string {

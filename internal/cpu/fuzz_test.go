@@ -161,9 +161,13 @@ func hotLoopProgram(rng *rand.Rand) *isa.Program {
 
 // FuzzBlocksDifferential drives the block engine against the step engine
 // over generated hot-loop programs, randomized slice sizes, and mid-run
-// tag-table swaps, all derived from the fuzz input. Every observable the
-// block-cache tests compare must match: registers, flags, PC, fault state,
-// memory, TLB and every counter.
+// tag-table swaps, all derived from the fuzz input. A second machine wired
+// to the first one's block store reruns the program at about half the
+// slice size (never the same size), so it runs blocks the first machine
+// decoded and decodes the entries the first never reached. Every
+// observable the block-cache tests compare must match the step engine's at
+// the same slice size: registers, flags, PC, fault state, memory, TLB and
+// every counter.
 func FuzzBlocksDifferential(f *testing.F) {
 	f.Add(int64(1), uint64(1<<30), false)
 	f.Add(int64(99), uint64(257), true)
@@ -182,8 +186,15 @@ func FuzzBlocksDifferential(f *testing.F) {
 				m.InstallTagTable(tables[(total/311)%uint64(len(tables))])
 			}
 		}
-		plain := runBB(t, prog, engStep, slice, 0, step)
-		cached := runBB(t, prog, engBlocks, slice, 0, step)
-		requireSameOutcome(t, prog.Name, cached, plain)
+		second := slice/2 + 1
+		if second == slice { // slices of 1 and 2
+			second++
+		}
+		store := NewSharedBlocks()
+		for i, sl := range []uint64{slice, second} {
+			plain := runBB(t, prog, engStep, sl, 0, step)
+			cached := runBBOn(t, prog, engBlocks, store, sl, 0, step)
+			requireSameOutcome(t, fmt.Sprintf("%s/machine %d/slice=%d", prog.Name, i, sl), cached, plain)
+		}
 	})
 }

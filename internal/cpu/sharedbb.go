@@ -5,71 +5,72 @@ import (
 	"sync/atomic"
 
 	"darkarts/internal/isa"
+	"darkarts/internal/microcode"
 )
 
-// Fleet-scope shared decoded-block cache.
+// Decoded-block store.
 //
-// The per-core block cache (bbcache.go) decodes each program into basic
-// blocks privately. Without sharing, every core of every machine holds its
-// own decoded copy of every block even when thousands of fleet machines run
-// the same program image. A decoded block is a pure function of (code, entry
-// pc, tag-table generation), so one copy serves them all: SharedBlocks is a
-// process-wide cache keyed by program identity plus tag-table generation
-// that cores consult on a local miss and publish into after a local decode.
-// Its payoff is memory (one block per fleet, not per core) more than decode
-// time.
+// A decoded block is a pure function of (code, entry pc, tag-table
+// generation), so one copy serves every core that runs the program.
+// SharedBlocks owns one dense table per (program, generation), indexed by
+// entry pc; each slot is an atomic pointer that starts nil and is filled by
+// the first core to decode the block there. Every CPU has exactly one store:
+// its own by default, or one a fleet wires into every machine
+// (Config.SharedBlocks), so a program image is decoded once per generation
+// per store rather than once per core.
 //
-// Sharing never changes architectural results — a shared block is
+// Sharing never changes architectural results — a block in the store is
 // bit-identical to the block the core would have decoded itself — and it
-// never races: a block is immutable once buildBlock returns, so the store
-// and every adopting core hold the same pointer. A firmware swap does not
-// touch blocks; it moves the core to a new generation, whose blocks are
-// fetched or decoded afresh.
+// never races: a block is immutable once buildBlock returns, and a slot is
+// filled by compare-and-swap, so every core reading it holds the same
+// pointer. A firmware swap does not touch tables; it moves a core to the
+// new generation's table.
 //
-// The cache appears on the hot path only on a local block-cache miss, which
-// is a cold event (steady-state hit rates are >99.9%), so the RWMutex it
-// takes is off every per-instruction and per-block fast path.
+// The store's mutex guards only the table index, taken when a core first
+// runs a program under a generation (blockCache.attach) and never on the
+// per-block path.
 
-// maxSharedProgs bounds the shared cache's (program, generation) entry
-// count. A full drop on overflow keeps the structure simple; fleets run far
-// fewer distinct program images than this.
+// maxSharedProgs bounds a store's (program, generation) table count, and
+// with it each core's program map. A full drop on overflow keeps the
+// structure simple; fleets run far fewer distinct program images than this.
 const maxSharedProgs = 256
 
 // sharedKey identifies one program image decoded under one tag-table
 // generation. A firmware update bumps the generation, naturally retiring
-// the old entries as programs are next decoded.
+// the old tables as programs next run.
 type sharedKey struct {
 	prog *isa.Program
 	gen  uint64
 }
 
-// SharedBlocksStats is a point-in-time snapshot of the shared cache's
-// counters.
+// blockTable is one (program, generation)'s decoded blocks, densely indexed
+// by entry pc (nil = not yet decoded). Entering the middle of a decoded
+// block (a branch target, or a slice boundary that split a block) simply
+// decodes a new block starting there; both stay in the table.
+type blockTable []atomic.Pointer[bbBlock]
+
+// SharedBlocksStats is a point-in-time snapshot of a store's counters.
 type SharedBlocksStats struct {
-	// Hits counts local-miss lookups satisfied by a previously published
-	// block (a decode avoided); Misses counts lookups that found nothing
-	// and fell through to a local decode.
+	// Hits counts core attaches that found an existing table; Misses
+	// counts tables created.
 	Hits   uint64
 	Misses uint64
-	// Published counts blocks published after a local decode; Evictions
-	// counts whole-cache drops at the maxSharedProgs capacity bound.
+	// Published counts blocks decoded into the store; Evictions counts
+	// whole-store drops at the maxSharedProgs capacity bound.
 	Published uint64
 	Evictions uint64
 }
 
-// SharedBlocks is a process-wide decoded-basic-block cache shared by every
-// core of every machine wired to it (cpu.Config.SharedBlocks). All methods
-// are safe for concurrent use from any number of cores; the zero value is
-// not usable — construct with NewSharedBlocks. A nil *SharedBlocks simply
-// disables sharing (each core decodes privately, the pre-fleet behaviour).
+// SharedBlocks is a decoded-basic-block store shared by every core of every
+// CPU wired to it (Config.SharedBlocks). All methods are safe for
+// concurrent use from any number of cores; the zero value is not usable —
+// construct with NewSharedBlocks.
 //
 // Everything here is a rebuildable decode cache: losing it costs decode
 // work, never correctness (and never the RSX counter stream).
 type SharedBlocks struct {
-	// progs holds each (program, generation)'s published blocks, densely
-	// indexed by entry pc (nil = not yet published).
-	mu    sync.RWMutex
-	progs map[sharedKey][]*bbBlock // guarded by mu
+	mu     sync.Mutex
+	tables map[sharedKey]blockTable // guarded by mu
 
 	hits      atomic.Uint64
 	misses    atomic.Uint64
@@ -77,12 +78,12 @@ type SharedBlocks struct {
 	evictions atomic.Uint64
 }
 
-// NewSharedBlocks returns an empty fleet-scope decoded-block cache.
+// NewSharedBlocks returns an empty decoded-block store.
 func NewSharedBlocks() *SharedBlocks {
-	return &SharedBlocks{progs: map[sharedKey][]*bbBlock{}}
+	return &SharedBlocks{tables: map[sharedKey]blockTable{}}
 }
 
-// Stats returns a snapshot of the cache counters.
+// Stats returns a snapshot of the store's counters (zero for nil).
 func (s *SharedBlocks) Stats() SharedBlocksStats {
 	if s == nil {
 		return SharedBlocksStats{}
@@ -95,51 +96,39 @@ func (s *SharedBlocks) Stats() SharedBlocksStats {
 	}
 }
 
-// get returns the block published at pc (nil if none). Blocks are
-// immutable, so the caller may cache the pointer itself.
+// table returns prog's block table under generation gen, creating it (and
+// dropping every table first if the store is full) on first request. Cores
+// that still hold a dropped table keep using it; it is no longer shared.
 //
 //cryptojack:coldpath
-func (s *SharedBlocks) get(prog *isa.Program, gen uint64, pc int) *bbBlock {
-	if s == nil {
-		return nil
-	}
-	s.mu.RLock()
-	var blk *bbBlock
-	if blocks := s.progs[sharedKey{prog: prog, gen: gen}]; pc < len(blocks) {
-		blk = blocks[pc]
-	}
-	s.mu.RUnlock()
-	if blk == nil {
-		s.misses.Add(1)
-		return nil
-	}
-	s.hits.Add(1)
-	return blk
-}
-
-// put publishes a freshly decoded block so other cores can adopt it,
-// applying the capacity bound. Concurrent publishers of the same pc decode
-// identical blocks, so last-writer-wins is harmless.
-//
-//cryptojack:coldpath
-func (s *SharedBlocks) put(prog *isa.Program, gen uint64, pc int, blk *bbBlock) {
-	if s == nil {
-		return
-	}
+func (s *SharedBlocks) table(prog *isa.Program, gen uint64) blockTable {
 	k := sharedKey{prog: prog, gen: gen}
 	s.mu.Lock()
-	blocks := s.progs[k]
-	if blocks == nil {
-		if len(s.progs) >= maxSharedProgs {
-			s.progs = map[sharedKey][]*bbBlock{}
-			s.evictions.Add(1)
-		}
-		blocks = make([]*bbBlock, len(prog.Code))
-		s.progs[k] = blocks
+	defer s.mu.Unlock()
+	if t, ok := s.tables[k]; ok {
+		s.hits.Add(1)
+		return t
 	}
-	if pc < len(blocks) {
-		blocks[pc] = blk
+	if len(s.tables) >= maxSharedProgs {
+		s.tables = map[sharedKey]blockTable{}
+		s.evictions.Add(1)
 	}
-	s.mu.Unlock()
+	t := make(blockTable, len(prog.Code))
+	s.tables[k] = t
+	s.misses.Add(1)
+	return t
+}
+
+// decode builds the block at pc and stores it into t's empty slot. If
+// another core filled the slot first, its block is returned instead, so all
+// cores share one pointer per slot.
+//
+//cryptojack:coldpath
+func (s *SharedBlocks) decode(t blockTable, code []isa.Inst, pc int, tags *microcode.TagTable) *bbBlock {
+	blk := buildBlock(code, pc, tags)
+	if !t[pc].CompareAndSwap(nil, blk) {
+		return t[pc].Load()
+	}
 	s.published.Add(1)
+	return blk
 }

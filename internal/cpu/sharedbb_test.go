@@ -12,9 +12,9 @@ import (
 )
 
 // sharedCore loads prog on a fresh single-core machine wired to the given
-// fleet-scope cache (nil = sharing off). tags, when non-nil, is installed so
+// block store (nil = the machine's own). tags, when non-nil, is installed so
 // machines share one tag-table generation — the fleet wiring that makes
-// cross-machine hits possible.
+// cross-machine sharing possible.
 func sharedCore(t *testing.T, prog *isa.Program, shared *SharedBlocks, tags *microcode.TagTable) (*CPU, *ArchContext) {
 	t.Helper()
 	cfg := DefaultConfig()
@@ -76,9 +76,9 @@ func runShared(t *testing.T, prog *isa.Program, shared *SharedBlocks, tags *micr
 	return sharedOutcome(machine, ctx)
 }
 
-// TestSharedBlocksDifferential is the fleet cache's bit-identity property:
-// a machine that adopts blocks published by another machine produces
-// exactly the outcome of a machine decoding everything itself.
+// TestSharedBlocksDifferential is the store's bit-identity property: a
+// machine that adopts blocks published by another machine produces exactly
+// the outcome of a machine decoding everything itself.
 func TestSharedBlocksDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(4242))
 	for trial := 0; trial < 25; trial++ {
@@ -96,7 +96,7 @@ func TestSharedBlocksDifferential(t *testing.T) {
 				t.Fatalf("%s: nothing published", prog.Name)
 			}
 			if s.Hits == 0 {
-				t.Fatalf("%s: adopter had no shared hits", prog.Name)
+				t.Fatalf("%s: adopter did not attach to the publisher's table", prog.Name)
 			}
 		}
 	}
@@ -112,36 +112,29 @@ func TestSharedBlocksGenerationIsolation(t *testing.T) {
 	prog := b.MustBuild()
 
 	shared := NewSharedBlocks()
-	blk := &bbBlock{pc: 0}
-	shared.put(prog, 1, 0, blk)
-	if got := shared.get(prog, 1, 0); got == nil {
-		t.Fatal("same-generation get missed")
+	tags := microcode.RSX()
+	gen1 := shared.table(prog, 1)
+	blk := shared.decode(gen1, prog.Code, 0, tags)
+	if again := shared.table(prog, 1); &again[0] != &gen1[0] || again[0].Load() != blk {
+		t.Fatal("same-generation attach did not return the published table")
 	}
-	if got := shared.get(prog, 2, 0); got != nil {
+	if got := shared.table(prog, 2)[0].Load(); got != nil {
 		t.Fatal("got a generation-1 block under generation 2")
 	}
-	if got := shared.get(prog, 1, 4); got != nil {
+	if got := gen1[1].Load(); got != nil {
 		t.Fatal("got a block for a PC never published")
+	}
+	if s := shared.Stats(); s.Hits != 1 || s.Misses != 2 || s.Published != 1 {
+		t.Fatalf("stats = %+v, want 1 attach hit, 2 tables, 1 block", s)
 	}
 }
 
-// TestSharedBlocksByPointer: blocks are immutable, so get hands out the
-// published pointer itself. A firmware swap on one CPU must then leave a
-// second CPU adopting from the same store bit-identical to a private
-// decode: the swap moves the first CPU to a new generation and never
-// touches the blocks the second one holds.
+// TestSharedBlocksByPointer: blocks are immutable, so two CPUs on one store
+// hold the same *bbBlock for a pc. A firmware swap on one CPU must then
+// leave the other bit-identical to a private decode: the swap moves the
+// first CPU to a new generation's table and never touches the blocks the
+// second one holds.
 func TestSharedBlocksByPointer(t *testing.T) {
-	b := isa.NewBuilder("ptr")
-	b.Movi(isa.R1, 1)
-	b.Halt()
-	prog := b.MustBuild()
-	shared := NewSharedBlocks()
-	orig := &bbBlock{pc: 0, rsx: 1, tagMask: 1}
-	shared.put(prog, 1, 0, orig)
-	if got := shared.get(prog, 1, 0); got != orig {
-		t.Fatalf("get returned %p, want the published %p", got, orig)
-	}
-
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 10; trial++ {
 		prog := randomProgram(rng)
@@ -153,6 +146,11 @@ func TestSharedBlocksByPointer(t *testing.T) {
 		m2, ctx2 := sharedCore(t, prog, store, tags) // adopter
 		runSlices(t, m1, ctx1, slice, 6)
 		runSlices(t, m2, ctx2, slice, 3)
+		b1 := m1.Core(0).bb.progs[prog].blocks[prog.Entry].Load()
+		b2 := m2.Core(0).bb.progs[prog].blocks[prog.Entry].Load()
+		if b1 == nil || b1 != b2 {
+			t.Fatalf("%s: entry block %p on one CPU, %p on the other; want one shared pointer", prog.Name, b1, b2)
+		}
 		// The publisher swaps firmware mid-program and keeps running
 		// under the new generation while the adopter holds its blocks.
 		m1.InstallTagTable(microcode.RotateOnly())
@@ -160,98 +158,78 @@ func TestSharedBlocksByPointer(t *testing.T) {
 		runSlices(t, m2, ctx2, slice, math.MaxInt)
 		requireSameOutcome(t, prog.Name+"/adopter", private, sharedOutcome(m2, ctx2))
 		if store.Stats().Hits == 0 {
-			t.Fatalf("%s: adopter had no shared hits", prog.Name)
+			t.Fatalf("%s: adopter did not attach to the publisher's table", prog.Name)
 		}
 	}
 }
 
-// TestSharedBlocksAdoptAllocs: a CPU running a program whose blocks are all
-// published allocates no blocks — only its dense block table and the map
-// entry holding it.
-func TestSharedBlocksAdoptAllocs(t *testing.T) {
-	// Twenty conditional branches make twenty-odd blocks, far more than
-	// the per-program table's fixed allocations.
-	b := isa.NewBuilder("branchy")
-	b.Movi(isa.R1, 3)
-	for i := 0; i < 20; i++ {
-		l := fmt.Sprintf("l%d", i)
-		b.OpI(isa.ROLI, isa.R1, isa.R1, 1)
-		b.Cmpi(isa.R1, 0)
-		b.Jcc(isa.JE, l)
-		b.Label(l)
+// TestSharedBlocksAcrossCores: the cores of a standalone CPU share one
+// store, so a core running a program another core has already run to the
+// same point decodes nothing.
+func TestSharedBlocksAcrossCores(t *testing.T) {
+	prog := randomProgram(rand.New(rand.NewSource(31)))
+	cfg := DefaultConfig()
+	cfg.Cores = 2
+	machine, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	b.Halt()
-	prog := b.MustBuild()
-	store := NewSharedBlocks()
-	tags := microcode.RSX()
-	runShared(t, prog, store, tags, 1<<20) // publisher
-	published := store.Stats().Published
-	if published < 20 {
-		t.Fatalf("published %d blocks, want >= 20", published)
+	for i, base := range []uint64{0x100_0000, 0x200_0000} {
+		ctx, err := NewContext(prog, machine.Memory(), base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		core := machine.Core(i)
+		core.LoadContext(ctx)
+		for !ctx.Halted {
+			core.Run(1 << 20)
+		}
 	}
-
-	machine, ctx := sharedCore(t, prog, store, tags)
-	start := *ctx
-	core := machine.Core(0)
-	allocs := testing.AllocsPerRun(5, func() {
-		core.bb.progs = nil // a fresh core's empty block cache
-		*ctx = start
-		core.Run(1 << 20)
-	})
-	if !ctx.Halted {
-		t.Fatal("program did not halt")
+	if s := machine.Core(0).BlockCacheStats(); s.Misses == 0 {
+		t.Fatal("core 0 decoded no blocks")
 	}
-	if s := store.Stats(); s.Published != published {
-		t.Fatalf("adopter published %d more blocks", s.Published-published)
-	}
-	// Map header and bucket group, progBlocks, dense table.
-	if allocs > 4 {
-		t.Fatalf("adopting %d published blocks allocated %.0f objects, want <= 4", published, allocs)
+	if s := machine.Core(1).BlockCacheStats(); s.Misses != 0 || s.Hits == 0 {
+		t.Fatalf("core 1 stats = %+v, want hits and 0 misses", s)
 	}
 }
 
-// TestSharedBlocksEviction: the program-count capacity bound evicts and
+// TestSharedBlocksEviction: the table-count capacity bound evicts and
 // counts.
 func TestSharedBlocksEviction(t *testing.T) {
 	shared := NewSharedBlocks()
+	tags := microcode.RSX()
 	progs := make([]*isa.Program, maxSharedProgs+8)
 	for i := range progs {
 		b := isa.NewBuilder(fmt.Sprintf("p%d", i))
 		b.Movi(isa.R1, int64(i))
 		b.Halt()
 		progs[i] = b.MustBuild()
-		shared.put(progs[i], 1, 0, &bbBlock{pc: 0})
+		shared.decode(shared.table(progs[i], 1), progs[i].Code, 0, tags)
 	}
 	s := shared.Stats()
 	if s.Evictions == 0 {
 		t.Fatalf("no evictions after %d programs (cap %d)", len(progs), maxSharedProgs)
 	}
-	if s.Published != uint64(len(progs)) {
-		t.Fatalf("published = %d, want %d", s.Published, len(progs))
+	if s.Misses != uint64(len(progs)) || s.Published != uint64(len(progs)) {
+		t.Fatalf("tables = %d, published = %d, want %d each", s.Misses, s.Published, len(progs))
 	}
 }
 
-// TestSharedBlocksNil: a nil cache is the "off" state for every method.
+// TestSharedBlocksNil: Stats is safe on a nil store.
 func TestSharedBlocksNil(t *testing.T) {
 	var s *SharedBlocks
-	b := isa.NewBuilder("nil")
-	b.Halt()
-	prog := b.MustBuild()
-	if got := s.get(prog, 1, 0); got != nil {
-		t.Fatal("nil cache returned a block")
-	}
-	s.put(prog, 1, 0, &bbBlock{}) // must not panic
 	if st := s.Stats(); st != (SharedBlocksStats{}) {
 		t.Fatalf("nil stats = %+v", st)
 	}
 }
 
-// TestSharedBlocksConcurrent hammers one cache from many goroutines (the
-// fleet's shard workers) under the race detector.
+// TestSharedBlocksConcurrent hammers one store from many goroutines (the
+// fleet's workers) under the race detector.
 func TestSharedBlocksConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	progs := []*isa.Program{randomProgram(rng), randomProgram(rng), randomProgram(rng)}
 	shared := NewSharedBlocks()
+	tags := microcode.RSX()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -259,22 +237,24 @@ func TestSharedBlocksConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				p := progs[(w+i)%len(progs)]
-				if blk := shared.get(p, 1, 0); blk == nil {
-					shared.put(p, 1, 0, &bbBlock{pc: 0})
+				if tbl := shared.table(p, 1); tbl[0].Load() == nil {
+					shared.decode(tbl, p.Code, 0, tags)
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
 	s := shared.Stats()
-	if s.Hits+s.Misses != 8*50 {
-		t.Fatalf("hits+misses = %d, want %d", s.Hits+s.Misses, 8*50)
+	if s.Hits+s.Misses != 8*50 || s.Misses != uint64(len(progs)) {
+		t.Fatalf("hits+misses = %d, misses = %d, want %d and %d", s.Hits+s.Misses, s.Misses, 8*50, len(progs))
+	}
+	if s.Published != uint64(len(progs)) {
+		t.Fatalf("published = %d, want one block per table (%d)", s.Published, len(progs))
 	}
 
 	// Cores on separate goroutines publish and execute the same blocks at
 	// once, each ending in the private-decode outcome.
 	want := runShared(t, progs[0], nil, nil, 7)
-	tags := microcode.RSX()
 	machines := make([]*CPU, 4)
 	ctxs := make([]*ArchContext, len(machines))
 	for i := range machines {

@@ -92,9 +92,6 @@ func (s *SVM) Predict(row []float64) int {
 	return -1
 }
 
-// Decision returns the signed margin (useful for threshold tuning).
-func (s *SVM) Decision(row []float64) float64 { return dot(s.w, row) + s.b }
-
 // LogisticRegression is a batch gradient-descent logistic classifier.
 type LogisticRegression struct {
 	LR     float64 // learning rate (default 0.1)
@@ -163,11 +160,6 @@ func (l *LogisticRegression) Predict(row []float64) int {
 		return 1
 	}
 	return -1
-}
-
-// Probability returns P(malicious | row).
-func (l *LogisticRegression) Probability(row []float64) float64 {
-	return sigmoid(dot(l.w, row) + l.b)
 }
 
 // DecisionTree is a depth-limited CART classifier with Gini splits.

@@ -9,9 +9,9 @@
 // schedule. Tenants submit workloads through the HTTP/JSON API (Handler);
 // placement records which thread groups belong to which tenant so alert
 // reads can be scoped per tenant. The only cross-machine structure is the
-// read-mostly fleet-scope decoded-block cache (cpu.SharedBlocks), whose
-// immutable entries let one machine's decode work serve every machine
-// running the same program image.
+// fleet's decoded-block store (cpu.SharedBlocks), whose immutable blocks
+// let one machine's decode work serve every machine running the same
+// program image.
 //
 // FLEET.md documents the architecture; OBSERVABILITY.md catalogs the
 // fleet_* metrics; cmd/fleetload drives load at fleet scale.

@@ -30,7 +30,7 @@ type Config struct {
 	// staleness and submission-placement latency.
 	Round time.Duration
 	// Machine is the per-host template. The fleet overrides ID per slot
-	// and wires the shared decoded-block cache into CPU.SharedBlocks;
+	// and wires the fleet's decoded-block store into CPU.SharedBlocks;
 	// everything else is taken as-is. The default template turns machine-
 	// local observability and intra-machine parallelism off — the fleet
 	// parallelizes across machines and observes at fleet scope.
@@ -54,8 +54,8 @@ type Config struct {
 	StaticPolicy string
 
 	// Result-invariant ablations, set only by this package's tests and
-	// benchmarks. noSharedBlocks keeps every core's decoded blocks private
-	// instead of sharing one copy per fleet (the cache's payoff is memory).
+	// benchmarks. noSharedBlocks gives every machine a block store of its
+	// own instead of sharing one per fleet (the store's payoff is memory).
 	// noFastForward simulates every machine every round instead of
 	// advancing quiescent ones analytically (Machine.FastForwardTo) and
 	// skipping their event-free rounds (see Member).
@@ -152,12 +152,12 @@ type workerStats struct {
 // canonically ordered fleet stream at every round barrier.
 //
 // Determinism: machines are mutually independent (the only shared
-// structure, the decoded-block cache, is content-deterministic and
-// read-mostly), every due machine is claimed by exactly one worker per
-// round, a skipped machine has no event before the barrier, and the
-// barrier drains batches in machine-ID order — so the alert stream is
-// bit-identical across worker counts, claim orders, fast-forward
-// on/off, and how a span is split into Run calls. Submissions placed
+// structure, the decoded-block store, is content-deterministic: a block
+// is the same whichever core decodes it), every due machine is claimed by
+// exactly one worker per round, a skipped machine has no event before the
+// barrier, and the barrier drains batches in machine-ID order — so the
+// alert stream is bit-identical across worker counts, claim orders,
+// fast-forward on/off, and how a span is split into Run calls. Submissions placed
 // while the fleet is quiescent (before Run, or between Run calls) are
 // part of that guarantee; submissions during a running round land at the
 // next barrier and are placed best-effort relative to it.
@@ -201,7 +201,7 @@ type Fleet struct {
 	rounds  uint64
 }
 
-// New builds the fleet: machines, worker scratch, shared block cache.
+// New builds the fleet: machines, worker scratch, decoded-block store.
 func New(cfg Config) (*Fleet, error) {
 	if cfg.Machines < 1 {
 		return nil, fmt.Errorf("fleet: machines = %d", cfg.Machines)
@@ -236,7 +236,7 @@ func New(cfg Config) (*Fleet, error) {
 	if !cfg.noSharedBlocks {
 		f.shared = cpu.NewSharedBlocks()
 	}
-	// One decoder tag table for the whole fleet: block-cache keys include
+	// One decoder tag table for the whole fleet: block-store keys include
 	// the table's unique generation, so per-machine tables would make
 	// cross-machine sharing structurally impossible (every machine a
 	// different generation). The table is immutable, so sharing one
@@ -274,8 +274,8 @@ func (f *Fleet) Config() Config { return f.cfg }
 // shared, do not mutate).
 func (f *Fleet) Members() []*Member { return f.members }
 
-// SharedBlocks returns the fleet-scope decoded-block cache (nil when
-// sharing is disabled).
+// SharedBlocks returns the fleet's decoded-block store (nil when each
+// machine keeps its own).
 func (f *Fleet) SharedBlocks() *cpu.SharedBlocks { return f.shared }
 
 // Obs returns the fleet-level metrics registry (nil when disabled).

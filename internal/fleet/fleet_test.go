@@ -85,8 +85,9 @@ func TestFleetDeterminismAcrossShards(t *testing.T) {
 	}
 }
 
-// TestFleetDeterminismSharedBlocks verifies the shared decoded-block cache
-// is invisible to results: streams match with sharing on and off.
+// TestFleetDeterminismSharedBlocks verifies the fleet's decoded-block store
+// is invisible to results: streams match with one store per fleet and one
+// per machine.
 func TestFleetDeterminismSharedBlocks(t *testing.T) {
 	var want []Alert
 	for _, noShare := range []bool{false, true} {
@@ -102,10 +103,10 @@ func TestFleetDeterminismSharedBlocks(t *testing.T) {
 		got := f.AlertStream()
 		if noShare {
 			if !reflect.DeepEqual(got, want) {
-				t.Errorf("shared-blocks cache changed the alert stream\n got %+v\nwant %+v", got, want)
+				t.Errorf("fleet-wide block store changed the alert stream\n got %+v\nwant %+v", got, want)
 			}
 			if f.SharedBlocks() != nil {
-				t.Error("noSharedBlocks fleet still built a shared cache")
+				t.Error("noSharedBlocks fleet still built a fleet-wide store")
 			}
 		} else {
 			want = got

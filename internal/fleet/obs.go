@@ -84,13 +84,13 @@ func newFMetrics(reg *obs.Registry, shards int) *fmetrics {
 		tasksPlaced: reg.Counter(obs.Desc{Name: "fleet_tasks_placed_total", Layer: obs.LayerFleet,
 			Unit: "tasks", Help: "kernel tasks created by fleet workload placement (threads included)"}),
 		sharedHits: reg.Counter(obs.Desc{Name: "fleet_bbcache_shared_hits_total", Layer: obs.LayerFleet,
-			Unit: "blocks", Help: "decoded-block fetches served by the fleet-scope shared cache (decodes avoided)"}),
+			Unit: "attaches", Help: "core attaches to a program's block table that found it already in the fleet's block store"}),
 		sharedMiss: reg.Counter(obs.Desc{Name: "fleet_bbcache_shared_misses_total", Layer: obs.LayerFleet,
-			Unit: "blocks", Help: "shared-cache lookups that fell through to a core-local decode"}),
+			Unit: "tables", Help: "block tables created in the fleet's block store, one per program and tag-table generation"}),
 		sharedPub: reg.Counter(obs.Desc{Name: "fleet_bbcache_shared_published_total", Layer: obs.LayerFleet,
-			Unit: "blocks", Help: "locally decoded blocks published into the shared cache"}),
+			Unit: "blocks", Help: "blocks decoded into the fleet's block store"}),
 		sharedEvict: reg.Counter(obs.Desc{Name: "fleet_bbcache_shared_evictions_total", Layer: obs.LayerFleet,
-			Unit: "evictions", Help: "whole shared-cache drops at the capacity bound"}),
+			Unit: "evictions", Help: "whole block-store drops at the capacity bound"}),
 		gsaAnalyzed: reg.Counter(obs.Desc{Name: "gsa_analyzed_total", Layer: obs.LayerFleet,
 			Unit: "programs", Help: "program submissions screened by guest static analysis at admission"}),
 		gsaFlagged: reg.Counter(obs.Desc{Name: "gsa_flagged_total", Layer: obs.LayerFleet,
@@ -126,7 +126,7 @@ func (m *fmetrics) apiCounter(route string) *obs.Counter {
 		Unit: "requests", Help: "fleet API requests served, by route"})
 }
 
-// observeShared folds the shared block cache's counter deltas since the
+// observeShared folds the fleet block store's counter deltas since the
 // last barrier into the fleet registry.
 func (m *fmetrics) observeShared(s cpu.SharedBlocksStats) {
 	m.sharedHits.Add(s.Hits - m.sharedLast.Hits)

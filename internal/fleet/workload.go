@@ -298,7 +298,7 @@ func (f *Fleet) applyLocked(spec WorkloadSpec, mem *Member) ([]int, error) {
 		if ips == 0 {
 			ips = 200_000
 		}
-		t, err := mem.M.SpawnProgram(spec.Program, e.program, ips, true)
+		t, err := mem.M.SpawnProgram(spec.Program, e.program, ips)
 		if err != nil {
 			return nil, err
 		}

@@ -40,9 +40,6 @@ type Func struct {
 	index      map[int]int // start pc -> block index
 }
 
-// EntryBlock returns the index of the function's entry block.
-func (f *Func) EntryBlock() int { return f.entryBlock }
-
 // BlockAt returns the index of the block starting at pc.
 func (f *Func) BlockAt(pc int) (int, bool) {
 	i, ok := f.index[pc]

@@ -215,10 +215,10 @@ func (f *Func) unsignedExit(l *Loop, code []isa.Inst) bool {
 	return false
 }
 
-// analyzeProgram runs the full pipeline: CFGs, function summaries with a
-// memoized transitive walk (cycles contribute zero on the back edge), and
-// per-loop scoring.
-func analyzeProgram(p *isa.Program) ([]*Func, StaticProfile) {
+// Analyze runs the static pipeline over a program and returns its profile:
+// CFGs, function summaries with a memoized transitive walk (cycles
+// contribute zero on the back edge), and per-loop scoring.
+func Analyze(p *isa.Program) StaticProfile {
 	funcs := Funcs(p)
 	prof := StaticProfile{Name: p.Name, Insts: len(p.Code), Funcs: len(funcs)}
 
@@ -358,7 +358,7 @@ func analyzeProgram(p *isa.Program) ([]*Func, StaticProfile) {
 		hot = hot[:maxHotLoops]
 	}
 	prof.HotLoops = hot
-	return funcs, prof
+	return prof
 }
 
 // blockStartOf returns the start pc of the block containing pc.
@@ -368,18 +368,6 @@ func blockStartOf(f *Func, pc int) int {
 		return -1
 	}
 	return f.Blocks[i-1].Start
-}
-
-// Analyze runs the static pipeline over a program and returns its profile.
-func Analyze(p *isa.Program) StaticProfile {
-	_, prof := analyzeProgram(p)
-	return prof
-}
-
-// AnalyzeFuncs returns the per-function CFGs alongside the profile, for
-// callers that want the structure as well as the verdict (cmd/guestlint).
-func AnalyzeFuncs(p *isa.Program) ([]*Func, StaticProfile) {
-	return analyzeProgram(p)
 }
 
 // Annotate is Analyze. It exists only so the frozen perfbench module, which

@@ -88,11 +88,6 @@ func (b *Builder) St(base Reg, off int64, rs Reg) *Builder {
 	return b.Emit(Inst{Op: ST, Rs1: base, Imm: off, Rs2: rs})
 }
 
-// St8 emits mem8[base+off] = rs.
-func (b *Builder) St8(base Reg, off int64, rs Reg) *Builder {
-	return b.Emit(Inst{Op: ST8, Rs1: base, Imm: off, Rs2: rs})
-}
-
 // St32 emits mem32[base+off] = rs.
 func (b *Builder) St32(base Reg, off int64, rs Reg) *Builder {
 	return b.Emit(Inst{Op: ST32, Rs1: base, Imm: off, Rs2: rs})

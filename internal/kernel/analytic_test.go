@@ -204,7 +204,7 @@ func TestFastForwardRefusesISA(t *testing.T) {
 	build := func() *machine.Machine {
 		m := newFFMachine(t)
 		m.SpawnApp(workload.TableIIApps()[0])
-		if _, err := m.SpawnProgram("sha256", prog, 50_000, true); err != nil {
+		if _, err := m.SpawnProgram("sha256", prog, 50_000); err != nil {
 			t.Fatal(err)
 		}
 		return m

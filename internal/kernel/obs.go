@@ -153,13 +153,13 @@ func newKMetrics(reg *obs.Registry, cores int) *kmetrics {
 			Unit: "misses", Help: "per-core page-translation cache misses (shared page-table walks)"}))
 		m.bbHits = append(m.bbHits, reg.Counter(obs.Desc{
 			Name: "bb_hits_total", Label: label, Layer: obs.LayerCPU,
-			Unit: "blocks", Help: "basic-block translation cache hits (fast engine)"}))
+			Unit: "blocks", Help: "fast-engine block lookups that found the block already decoded in the CPU's block store"}))
 		m.bbMisses = append(m.bbMisses, reg.Counter(obs.Desc{
 			Name: "bb_misses_total", Label: label, Layer: obs.LayerCPU,
-			Unit: "blocks", Help: "basic-block translation cache misses (blocks decoded and cached)"}))
+			Unit: "blocks", Help: "blocks this core decoded into the CPU's block store"}))
 		m.bbInvalidations = append(m.bbInvalidations, reg.Counter(obs.Desc{
 			Name: "bb_invalidations_total", Label: label, Layer: obs.LayerCPU,
-			Unit: "invalidations", Help: "per-program basic-block table drops after tag-table generation changes (re-decoded on the next run)"}))
+			Unit: "invalidations", Help: "per-program switches to a new block table after tag-table generation changes"}))
 	}
 	return m
 }

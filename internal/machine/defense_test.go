@@ -83,7 +83,7 @@ func TestMachineISAProgram(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The SHA-3 kernel run flat out at a scaled rate must accumulate RSX.
-	task, err := m.SpawnProgram("sha3", workload.SHA3Program(), 10_000_000, true)
+	task, err := m.SpawnProgram("sha3", workload.SHA3Program(), 10_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,10 +8,10 @@
 // of mutable simulation state (task lists, counters, RSX windows, caches,
 // simulated clock) hangs off the Machine instance, so a process can run
 // thousands of them concurrently (package fleet) with no cross-machine
-// synchronization. The single deliberate sharing point is the read-mostly
-// fleet-scope decoded-block cache (cpu.SharedBlocks) a fleet wires into
-// every member's cpu.Config — its entries are immutable, so it too adds no
-// ordering between machines.
+// synchronization. The single deliberate sharing point is the decoded-block
+// store (cpu.SharedBlocks) a fleet wires into every member's cpu.Config —
+// a block is immutable once published and results never depend on who
+// decoded it, so it too adds no ordering between machines.
 //
 // It is also the package a single-host user starts from:
 //

@@ -42,7 +42,7 @@ func TestFullStackISAMinerDetected(t *testing.T) {
 	m, ips := isaMinerMachine(t, "rsx")
 	header := miner.Header{Height: 9, Time: 7}.Marshal()
 	prog, _ := miner.BuildISAMinerProgram(header, []byte("0123456789abcdef"), 0, 0, 1<<40)
-	task, err := m.SpawnProgram("xmr-payload", prog, ips, true)
+	task, err := m.SpawnProgram("xmr-payload", prog, ips)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestFullStackObfuscatedISAMinerDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.SpawnProgram("xmr-obf", obf, ips, true); err != nil {
+	if _, err := m.SpawnProgram("xmr-obf", obf, ips); err != nil {
 		t.Fatal(err)
 	}
 	if !m.RunUntilAlert(5 * time.Second) {
@@ -92,7 +92,7 @@ func TestLiveMicrocodeSwitch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	task, err := m.SpawnProgram("or-storm", prog, 20_000_000, true)
+	task, err := m.SpawnProgram("or-storm", prog, 20_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}

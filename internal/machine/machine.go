@@ -27,10 +27,10 @@ type Options struct {
 	// "rotate-only" (ablation).
 	TagSet string
 	// TagTable, when non-nil, is installed instead of a table freshly
-	// built from TagSet. Decoded-block cache keys include the table's
+	// built from TagSet. Decoded-block store keys include the table's
 	// unique generation number, so a fleet passes one shared (immutable)
 	// table to every member — otherwise each machine's generation differs
-	// and the fleet-scope block cache can never hit across machines.
+	// and the fleet's block store can never share a table across machines.
 	TagTable *microcode.TagTable
 	// ID is an owner-assigned machine identity (fleet slot). It has no
 	// simulation effect; it only labels the machine in summaries.
@@ -50,11 +50,12 @@ func DefaultOptions() Options {
 
 // Machine is one self-contained simulated host: its own CPU (cores, memory,
 // tag table), its own kernel (tasks, scheduler, detection state, procfs),
-// and its own observability scope. Machines share no mutable state with
-// each other — the only cross-machine structure is the read-mostly decoded-
-// block cache a fleet may wire in through CPU.SharedBlocks, whose contents
-// are immutable — so any number of Machines advance concurrently from
-// different goroutines without synchronization.
+// and its own observability scope. Machines share no state that affects
+// results — the only cross-machine structure is the decoded-block store a
+// fleet may wire in through CPU.SharedBlocks, whose slots are filled once,
+// by compare-and-swap, with immutable blocks — so any number of Machines
+// advance concurrently from different goroutines without further
+// synchronization.
 //
 // A Machine must be driven (Run/RunUntilAlert) from one goroutine at a
 // time; the kernel's copy-on-read accessors (Alerts, Tasks, Now, procfs
@@ -141,18 +142,18 @@ func (m *Machine) SpawnApp(p workload.AppProfile) *kernel.Task {
 }
 
 // SpawnProgram loads an ISA program as a non-root process running at the
-// given effective instruction rate. Looping programs restart on halt.
-// Program code is never copied — many machines may load the same *Program
-// image, which is what lets the fleet-scope decoded-block cache pay off in
-// memory: one decoded copy of each block per fleet, not one per core.
-func (m *Machine) SpawnProgram(name string, prog *isa.Program, ips uint64, loop bool) (*kernel.Task, error) {
+// given effective instruction rate, restarting it on every halt. Program
+// code is never copied — many machines may load the same *Program image,
+// which is what lets a fleet's decoded-block store pay off in memory: one
+// decoded copy of each block per fleet and tag table, not one per machine.
+func (m *Machine) SpawnProgram(name string, prog *isa.Program, ips uint64) (*kernel.Task, error) {
 	base := m.nextBase
 	m.nextBase += cpu.RegionSize(prog) + 1<<20
 	w, err := kernel.NewISAWorkload(prog, m.cpu.Memory(), base, ips)
 	if err != nil {
 		return nil, fmt.Errorf("spawn %s: %w", name, err)
 	}
-	w.Loop = loop
+	w.Loop = true
 	return m.kern.Spawn(name, 1000, w), nil
 }
 
@@ -161,9 +162,9 @@ func (m *Machine) SpawnProgram(name string, prog *isa.Program, ips uint64, loop 
 // the static risk prior: statically-flagged programs (PoW loop structure)
 // are then confirmed by the kernel on shortened monitoring windows
 // (Tunables.StaticPriorDivisor).
-func (m *Machine) SpawnAnalyzedProgram(name string, prog *isa.Program, ips uint64, loop bool) (*kernel.Task, gsa.StaticProfile, error) {
+func (m *Machine) SpawnAnalyzedProgram(name string, prog *isa.Program, ips uint64) (*kernel.Task, gsa.StaticProfile, error) {
 	prof := gsa.Analyze(prog)
-	task, err := m.SpawnProgram(name, prog, ips, loop)
+	task, err := m.SpawnProgram(name, prog, ips)
 	if err != nil {
 		return nil, prof, err
 	}

@@ -170,7 +170,7 @@ func TestSpawnProgramRejectsInvalidImage(t *testing.T) {
 	} {
 		prog := &isa.Program{Name: tc.name, Code: []isa.Inst{{Op: isa.NOP}, tc.bad, {Op: isa.HALT}}}
 		want := fmt.Sprintf("spawn %s: new context: program %q: instruction 1 (%s): %s", tc.name, tc.name, tc.bad, tc.what)
-		if _, err := m.SpawnProgram(tc.name, prog, 1_000_000, true); err == nil || err.Error() != want {
+		if _, err := m.SpawnProgram(tc.name, prog, 1_000_000); err == nil || err.Error() != want {
 			t.Errorf("SpawnProgram(%s) error = %v, want %q", tc.name, err, want)
 		}
 	}

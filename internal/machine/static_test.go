@@ -24,7 +24,7 @@ func spawnMinerTTA(t *testing.T, analyzed bool) kernel.Alert {
 	}
 	prog := workload.XMRMinerProgram()
 	if analyzed {
-		_, prof, err := m.SpawnAnalyzedProgram(prog.Name, prog, 20_000_000, true)
+		_, prof, err := m.SpawnAnalyzedProgram(prog.Name, prog, 20_000_000)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -32,7 +32,7 @@ func spawnMinerTTA(t *testing.T, analyzed bool) kernel.Alert {
 			t.Fatalf("xmr-isa not statically flagged (risk %.3f)", prof.RiskScore)
 		}
 	} else {
-		if _, err := m.SpawnProgram(prog.Name, prog, 20_000_000, true); err != nil {
+		if _, err := m.SpawnProgram(prog.Name, prog, 20_000_000); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,8 +1,6 @@
 package workload
 
 import (
-	"fmt"
-
 	"darkarts/internal/isa"
 	"darkarts/internal/miner"
 )
@@ -60,14 +58,4 @@ func ProgramRegistry() []ProgramEntry {
 		ProgramEntry{Name: "zec-isa", Miner: true, Build: ZecMinerProgram},
 	)
 	return entries
-}
-
-// ProgramByName builds the named registry program.
-func ProgramByName(name string) (*isa.Program, error) {
-	for _, e := range ProgramRegistry() {
-		if e.Name == name {
-			return e.Build(), nil
-		}
-	}
-	return nil, fmt.Errorf("workload: unknown registry program %q", name)
 }

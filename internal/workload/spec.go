@@ -28,9 +28,6 @@ type SPECProfile struct {
 	Seed   int64
 }
 
-// RSXPer1B returns the calibrated tracked RSX total per 1e9 instructions.
-func (p SPECProfile) RSXPer1B() uint64 { return p.SL + p.SR + p.XOR + p.RL + p.RR }
-
 // SPEC2K6 returns the calibrated benchmark suite used throughout the
 // evaluation. Tracked-op values are taken from / interpolated within the
 // ranges the paper reports: SPEC shift-rights are ~10x below SHA-2's 28M
@@ -199,13 +196,4 @@ func (p SPECProfile) Program() *isa.Program {
 	prog := b.MustBuild()
 	prog.DataSize = footprint
 	return prog
-}
-
-// TrackedPer1B returns the profile's calibrated tracked-op table, used by
-// documentation and the experiment harness for paper-vs-measured reporting.
-func (p SPECProfile) TrackedPer1B() map[string]uint64 {
-	return map[string]uint64{
-		"SL": p.SL, "SR": p.SR, "XOR": p.XOR,
-		"RL": p.RL, "RR": p.RR, "OR": p.OR, "AND": p.AND,
-	}
 }
