@@ -85,14 +85,16 @@ fleet-smoke:
 
 # Bounded fuzz smoke over the CPU engines: the block engine, the only
 # fast tier, against the step engine, and every engine against panics;
-# over the fleet API's submit and alert-query handlers; and over kernel
-# fast-forward against per-quantum simulation. Go fuzzes one target per
-# invocation; 20 s each keeps CI short.
+# over the fleet API's submit and alert-query handlers; over kernel
+# fast-forward against per-quantum simulation; and over the rate models'
+# noise stream against math/rand. Go fuzzes one target per invocation;
+# 20 s each keeps CI short.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzBlocksDifferential$$' -fuzztime 20s ./internal/cpu
 	$(GO) test -run '^$$' -fuzz '^FuzzExecutorNeverPanics$$' -fuzztime 20s ./internal/cpu
 	$(GO) test -run '^$$' -fuzz '^FuzzAPI$$' -fuzztime 20s ./internal/fleet
 	$(GO) test -run '^$$' -fuzz '^FuzzFastForward$$' -fuzztime 20s ./internal/kernel
+	$(GO) test -run '^$$' -fuzz '^FuzzNoise$$' -fuzztime 20s ./internal/kernel
 
 # Race-detect the whole module. The packages the parallel quantum
 # execution touches (scheduler, core engines, counter banks, metrics

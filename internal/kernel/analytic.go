@@ -2,9 +2,9 @@ package kernel
 
 import (
 	"math"
-	"math/rand"
 	"time"
 
+	"darkarts/internal/counters"
 	"darkarts/internal/cpu"
 	"darkarts/internal/isa"
 )
@@ -29,74 +29,39 @@ type AnalyticWorkload interface {
 // RateSlice is one slice of a rate-model workload at noise 1: the
 // instructions of each class it retires (per-hour rate × slice hours),
 // the coefficient of variation of its multiplicative noise, and the
-// amount it adds to the workload's progress total.
+// amount it adds to the workload's progress total. A workload builds it
+// once per slice duration.
 type RateSlice struct {
 	Rotate, Shift, XOR, OR, Instr float64
 	Jitter                        float64
 	Progress                      float64
 }
 
-// rateChunk is how many noise draws RunRateSlices takes before the
-// call-free float pass that consumes them, so the pass keeps its
-// accumulators in registers. Small, because a single-slice call zeroes
-// the whole buffer.
-const rateChunk = 8
-
 // RunRateSlices charges core's counter bank with n consecutive slices of
-// s. Each slice draws z = rng.NormFloat64(), scales every class count by
-// noise = max(0, 1+s.Jitter·z) and truncates it to an integer: RSX gets
-// the sum of the classes core's tag table tags (rotate, shift, xor, or,
-// in that order), retired instructions and cycles get Instr, and the
-// characterization histogram, only when the bank keeps one, gets rotates
-// split over ROLI/RORI, shifts over SHLI/SHRI, and XOR and OR. When
+// s. Each slice draws the next standard normal z from rng, scales every
+// class count by noise = max(0, 1+s.Jitter·z) and truncates it to an
+// integer: RSX gets the sum of the classes core's tag table tags (rotate,
+// shift, xor, or, in that order), retired instructions and cycles get
+// Instr, and the characterization histogram, only when the bank keeps
+// one, gets rotates split over ROLI/RORI, shifts over SHLI/SHRI, and XOR
+// and OR. When
 // progress is non-nil, s.Progress is added to it once per slice, in
 // order, since n·s.Progress would round differently. Each product is
 // converted explicitly so that no platform fuses it into an add.
-func RunRateSlices(core *cpu.Core, rng *rand.Rand, n int, s *RateSlice, progress *float64) {
+//
+// A slice is one pass of one loop: take the next word from rng's ring,
+// take the ziggurat's fast path inline (Noise.norm finishes the ~1% of
+// draws it rejects), clamp, sum and truncate. Banks that characterize
+// take a separate, colder loop.
+func RunRateSlices(core *cpu.Core, rng *Noise, n int, s *RateSlice, progress *float64) {
 	bank := core.Counters()
-	tags := core.TagTable()
-	tagROL, tagSHL := tags.Tagged(isa.ROL), tags.Tagged(isa.SHL)
-	tagXOR, tagOR := tags.Tagged(isa.XOR), tags.Tagged(isa.OR)
+	t := core.TagTable()
+	tags := rsxTags{t.Tagged(isa.ROL), t.Tagged(isa.SHL), t.Tagged(isa.XOR), t.Tagged(isa.OR)}
 	var rsxT, instT uint64
-	var z [rateChunk]float64
-	for done := 0; done < n; done += rateChunk {
-		chunk := z[:min(n-done, rateChunk)]
-		for i := range chunk {
-			chunk[i] = rng.NormFloat64()
-		}
-		for i, zi := range chunk {
-			noise := 1 + float64(s.Jitter*zi)
-			if noise < 0 {
-				noise = 0
-			}
-			chunk[i] = noise
-			var rsx float64
-			if tagROL {
-				rsx += float64(s.Rotate * noise)
-			}
-			if tagSHL {
-				rsx += float64(s.Shift * noise)
-			}
-			if tagXOR {
-				rsx += float64(s.XOR * noise)
-			}
-			if tagOR {
-				rsx += float64(s.OR * noise)
-			}
-			rsxT += uint64(rsx)
-			instT += uint64(s.Instr * noise)
-		}
-		if bank.Characterizing() {
-			for _, noise := range chunk {
-				rot, sh := float64(s.Rotate*noise), float64(s.Shift*noise)
-				bank.AddOpCount(isa.ROLI, uint64(rot/2))
-				bank.AddOpCount(isa.RORI, uint64(rot-rot/2))
-				bank.AddOpCount(isa.SHLI, uint64(sh/2))
-				bank.AddOpCount(isa.SHRI, uint64(sh-sh/2))
-				bank.AddOpCount(isa.XOR, uint64(s.XOR*noise))
-				bank.AddOpCount(isa.OR, uint64(s.OR*noise))
-			}
-		}
+	if bank.Characterizing() {
+		rsxT, instT = rateSlicesCharacterizing(bank, rng, n, s, tags)
+	} else {
+		rsxT, instT = rateSlices(rng, n, s, tags)
 	}
 	bank.AddRSX(rsxT)
 	bank.AddRetired(instT)
@@ -108,6 +73,81 @@ func RunRateSlices(core *cpu.Core, rng *rand.Rand, n int, s *RateSlice, progress
 		}
 		*progress = p
 	}
+}
+
+// rsxTags says which of a RateSlice's classes a tag table counts as RSX.
+type rsxTags struct{ rotate, shift, xor, or bool }
+
+// rsx is a slice's RSX count at noise: the tagged classes' products,
+// summed in class order.
+//
+//cryptojack:hotpath
+func (s *RateSlice) rsx(noise float64, tags rsxTags) float64 {
+	var rsx float64
+	if tags.rotate {
+		rsx += float64(s.Rotate * noise)
+	}
+	if tags.shift {
+		rsx += float64(s.Shift * noise)
+	}
+	if tags.xor {
+		rsx += float64(s.XOR * noise)
+	}
+	if tags.or {
+		rsx += float64(s.OR * noise)
+	}
+	return rsx
+}
+
+// rateSlices is RunRateSlices' loop for a bank that does not
+// characterize: it returns the n slices' RSX and instruction totals.
+//
+//cryptojack:hotpath
+func rateSlices(rng *Noise, n int, s *RateSlice, tags rsxTags) (rsxT, instT uint64) {
+	pos := rng.pos
+	for ; n > 0; n-- {
+		if pos >= noiseLen {
+			rng.refill()
+			pos = 0
+		}
+		j := zigWord(rng.ring[pos])
+		pos++
+		z, ok := zigFast(j)
+		if !ok {
+			rng.pos = pos
+			z = rng.norm(j)
+			pos = rng.pos
+		}
+		noise := 1 + float64(s.Jitter*z)
+		if noise < 0 {
+			noise = 0
+		}
+		rsxT += uint64(s.rsx(noise, tags))
+		instT += uint64(s.Instr * noise)
+	}
+	rng.pos = pos
+	return rsxT, instT
+}
+
+// rateSlicesCharacterizing is rateSlices plus the characterization
+// histogram's op counts.
+func rateSlicesCharacterizing(bank *counters.Bank, rng *Noise, n int, s *RateSlice, tags rsxTags) (rsxT, instT uint64) {
+	for ; n > 0; n-- {
+		noise := 1 + float64(s.Jitter*rng.NormFloat64())
+		if noise < 0 {
+			noise = 0
+		}
+		rsxT += uint64(s.rsx(noise, tags))
+		instT += uint64(s.Instr * noise)
+		rot, sh := float64(s.Rotate*noise), float64(s.Shift*noise)
+		bank.AddOpCount(isa.ROLI, uint64(rot/2))
+		bank.AddOpCount(isa.RORI, uint64(rot-rot/2))
+		bank.AddOpCount(isa.SHLI, uint64(sh/2))
+		bank.AddOpCount(isa.SHRI, uint64(sh-sh/2))
+		bank.AddOpCount(isa.XOR, uint64(s.XOR*noise))
+		bank.AddOpCount(isa.OR, uint64(s.OR*noise))
+	}
+	return rsxT, instT
 }
 
 // NoHorizon is the horizon of a kernel whose future quanta are all

@@ -20,4 +20,7 @@
 // III miners in internal/miner) implement AnalyticWorkload on one shared
 // slice routine, RunRateSlices, so an idle or benign fleet machine can
 // fast-forward whole spans of quanta between monitoring-window crossings.
+// Their burst noise comes from Noise, math/rand's seeded normal stream
+// reproduced bit for bit as a concrete type, whose draw RunRateSlices
+// takes inline.
 package kernel

@@ -1,7 +1,6 @@
 package miner
 
 import (
-	"math/rand"
 	"time"
 
 	"darkarts/internal/cpu"
@@ -73,7 +72,9 @@ func RSXPerMinute(c Coin) float64 {
 
 // Workload is a mining task schedulable by the simulated kernel. It models
 // one mining thread; spawn several with kernel.CloneThread to model
-// multi-threaded mining (they share rates through Threads).
+// multi-threaded mining (they share rates through Threads). The slice is
+// derived from Coin, Throttle and Threads when a slice duration is first
+// run, so they must not change after the first slice.
 type Workload struct {
 	Coin Coin
 	// Throttle is the fraction of time the miner idles to evade detection
@@ -81,7 +82,11 @@ type Workload struct {
 	Throttle float64
 	// Threads divides the full-speed rate across that many mining threads.
 	Threads int
-	rng     *rand.Rand
+	rng     kernel.Noise
+	// slice is one slice of duration sliceD at noise 1; sliceD is 0
+	// until the first slice.
+	slice  kernel.RateSlice
+	sliceD time.Duration
 
 	// HashesDone accumulates this thread's hash attempts.
 	HashesDone float64
@@ -103,7 +108,9 @@ func NewWorkload(coin Coin, throttle float64, threads int, seed int64) *Workload
 	if throttle > 1 {
 		throttle = 1
 	}
-	return &Workload{Coin: coin, Throttle: throttle, Threads: threads, rng: rand.New(rand.NewSource(seed))}
+	w := &Workload{Coin: coin, Throttle: throttle, Threads: threads}
+	w.rng.Seed(seed)
+	return w
 }
 
 // RunSlice implements kernel.Workload.
@@ -114,18 +121,22 @@ func (w *Workload) RunSlice(core *cpu.Core, d time.Duration) { w.RunSlices(core,
 // instruction stream, scaled by the duty cycle that throttling leaves.
 // Mining is steady: tiny jitter only.
 func (w *Workload) RunSlices(core *cpu.Core, d time.Duration, n int) {
-	duty := 1 - w.Throttle
-	hours := d.Hours() * duty / float64(w.Threads)
-	r := Rates(w.Coin)
-	kernel.RunRateSlices(core, w.rng, n, &kernel.RateSlice{
-		Rotate:   r.RotatePerHour * hours,
-		Shift:    r.ShiftPerHour * hours,
-		XOR:      r.XORPerHour * hours,
-		OR:       r.ORPerHour * hours,
-		Instr:    r.InstrPerHour * hours,
-		Jitter:   0.02,
-		Progress: r.HashesPerSec * d.Seconds() * duty / float64(w.Threads),
-	}, &w.HashesDone)
+	if d != w.sliceD || w.sliceD == 0 {
+		duty := 1 - w.Throttle
+		hours := d.Hours() * duty / float64(w.Threads)
+		r := Rates(w.Coin)
+		w.slice = kernel.RateSlice{
+			Rotate:   r.RotatePerHour * hours,
+			Shift:    r.ShiftPerHour * hours,
+			XOR:      r.XORPerHour * hours,
+			OR:       r.ORPerHour * hours,
+			Instr:    r.InstrPerHour * hours,
+			Jitter:   0.02,
+			Progress: r.HashesPerSec * d.Seconds() * duty / float64(w.Threads),
+		}
+		w.sliceD = d
+	}
+	kernel.RunRateSlices(core, &w.rng, n, &w.slice, &w.HashesDone)
 }
 
 // Done implements kernel.Workload: miners run until killed.

@@ -152,6 +152,21 @@ func TestMinerRunSlicesSplitInvariant(t *testing.T) {
 	}
 }
 
+// TestMinerRateSliceFollowsDuration: the cached slice is rebuilt whenever
+// the slice duration changes, including after zero-length slices.
+func TestMinerRateSliceFollowsDuration(t *testing.T) {
+	core := rateCores(t)[0]
+	w := NewWorkload(Zcash, 0.3, 4, 7)
+	for _, d := range []time.Duration{0, 4 * time.Millisecond, 8 * time.Millisecond, 4 * time.Millisecond} {
+		w.RunSlice(core, d)
+		fresh := NewWorkload(Zcash, 0.3, 4, 7)
+		fresh.RunSlice(core, d)
+		if w.slice != fresh.slice || w.slice.Jitter != 0.02 {
+			t.Errorf("after a %v slice: cached %+v, fresh %+v", d, w.slice, fresh.slice)
+		}
+	}
+}
+
 func TestMinerRunSlicesNoAllocs(t *testing.T) {
 	core := rateCores(t)[0]
 	w := NewWorkload(Monero, 0, 4, 1)

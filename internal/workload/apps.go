@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"math/rand"
 	"time"
 
 	"darkarts/internal/cpu"
@@ -136,9 +135,16 @@ func CryptoFunctionApps() []AppProfile {
 // injects the calibrated instruction counts into the core's counter bank —
 // the same hardware path an ISA program drives — honouring whatever tag
 // table the decoder currently has installed.
+//
+// The slice is derived from Profile when a slice duration is first run,
+// so Profile must not change after the first slice.
 type AppWorkload struct {
 	Profile AppProfile
-	rng     *rand.Rand
+	rng     kernel.Noise
+	// slice is one slice of duration sliceD at noise 1; sliceD is 0
+	// until the first slice.
+	slice  kernel.RateSlice
+	sliceD time.Duration
 	// Elapsed is the accumulated scheduled time.
 	Elapsed time.Duration
 }
@@ -150,7 +156,9 @@ var (
 
 // NewAppWorkload returns a schedulable workload for the profile.
 func NewAppWorkload(p AppProfile) *AppWorkload {
-	return &AppWorkload{Profile: p, rng: rand.New(rand.NewSource(p.Seed))}
+	w := &AppWorkload{Profile: p}
+	w.rng.Seed(p.Seed)
+	return w
 }
 
 // RunSlice implements kernel.Workload.
@@ -159,16 +167,20 @@ func (w *AppWorkload) RunSlice(core *cpu.Core, d time.Duration) { w.RunSlices(co
 // RunSlices implements kernel.AnalyticWorkload: n consecutive slices of
 // the profile's class rates under multiplicative burst noise.
 func (w *AppWorkload) RunSlices(core *cpu.Core, d time.Duration, n int) {
-	hours := d.Hours()
-	p := &w.Profile
-	kernel.RunRateSlices(core, w.rng, n, &kernel.RateSlice{
-		Rotate: p.RotatePerHour * hours,
-		Shift:  p.ShiftPerHour * hours,
-		XOR:    p.XORPerHour * hours,
-		OR:     p.ORPerHour * hours,
-		Instr:  p.InstrPerHour * hours,
-		Jitter: p.Burstiness,
-	}, nil)
+	if d != w.sliceD || w.sliceD == 0 {
+		hours := d.Hours()
+		p := &w.Profile
+		w.slice = kernel.RateSlice{
+			Rotate: p.RotatePerHour * hours,
+			Shift:  p.ShiftPerHour * hours,
+			XOR:    p.XORPerHour * hours,
+			OR:     p.ORPerHour * hours,
+			Instr:  p.InstrPerHour * hours,
+			Jitter: p.Burstiness,
+		}
+		w.sliceD = d
+	}
+	kernel.RunRateSlices(core, &w.rng, n, &w.slice, nil)
 	w.Elapsed += time.Duration(n) * d
 }
 

@@ -141,6 +141,22 @@ func TestAppRunSlicesSplitInvariant(t *testing.T) {
 	}
 }
 
+// TestAppRateSliceFollowsDuration: the cached slice is rebuilt whenever
+// the slice duration changes, including after zero-length slices.
+func TestAppRateSliceFollowsDuration(t *testing.T) {
+	core := rateCores(t)[0]
+	p := TableIIApps()[4]
+	w := NewAppWorkload(p)
+	for _, d := range []time.Duration{0, 4 * time.Millisecond, 8 * time.Millisecond, 4 * time.Millisecond} {
+		w.RunSlice(core, d)
+		fresh := NewAppWorkload(p)
+		fresh.RunSlice(core, d)
+		if w.slice != fresh.slice || w.slice.Jitter != p.Burstiness {
+			t.Errorf("after a %v slice: cached %+v, fresh %+v", d, w.slice, fresh.slice)
+		}
+	}
+}
+
 func TestAppRunSlicesNoAllocs(t *testing.T) {
 	core := rateCores(t)[0]
 	w := NewAppWorkload(TableIIApps()[0])
