@@ -44,16 +44,18 @@ perfbench-check:
 	cd perfbench && $(GO) vet . && $(GO) test .
 
 # The second line reruns the scheduler's serial/parallel differential tests,
-# the worker pool's tests and the CPU's block-store (SharedBlocks) tests at
-# -cpu 1 and 4: at GOMAXPROCS=1 the pool has no helper goroutine and the
-# calling goroutine claims every item itself, and cores fill the store's
-# shared tables with and without real parallelism. test and race skip
+# the worker pool's tests, the CPU's block-store (SharedBlocks) tests and
+# the pass-replay tests (Replay, PassTrace; the fleet's replay differential
+# among them) at -cpu 1 and 4: at GOMAXPROCS=1 the pool has no helper
+# goroutine and the calling goroutine claims every item itself, and cores
+# fill the store's shared tables, and fleet workers record its pass traces,
+# with and without real parallelism. test and race skip
 # cryptojacklint's TestAnnotatedTreeClean, a whole-module lint in a
 # subprocess: `make lint` runs the same lint once, under its budget (a bare
 # `go test ./...` still includes it).
 test:
 	$(GO) test -skip '^TestAnnotatedTreeClean$$' ./...
-	$(GO) test -run 'Parallel|RunUntilAlert|Accessors|Callback|Pool|SharedBlocks' -cpu 1,4 ./internal/kernel ./internal/pool ./internal/cpu
+	$(GO) test -run 'Parallel|RunUntilAlert|Accessors|Callback|Pool|SharedBlocks|Replay|PassTrace' -cpu 1,4 ./internal/kernel ./internal/pool ./internal/cpu ./internal/fleet
 
 # Documentation gate: vet plus a doc.go package comment for every
 # internal package (the per-package paper tie-ins; see OBSERVABILITY.md
@@ -84,13 +86,15 @@ fleet-smoke:
 	$(GO) run ./cmd/fleetload -machines 256 -duration 4s -round 500ms -period 3s
 
 # Bounded fuzz smoke over the CPU engines: the block engine, the only
-# fast tier, against the step engine, and every engine against panics;
+# fast tier, against the step engine; pass replay against the block
+# engine; and every engine against panics;
 # over the fleet API's submit and alert-query handlers; over kernel
 # fast-forward against per-quantum simulation; and over the rate models'
 # noise stream against math/rand. Go fuzzes one target per invocation;
 # 20 s each keeps CI short.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzBlocksDifferential$$' -fuzztime 20s ./internal/cpu
+	$(GO) test -run '^$$' -fuzz '^FuzzPassReplay$$' -fuzztime 20s ./internal/cpu
 	$(GO) test -run '^$$' -fuzz '^FuzzExecutorNeverPanics$$' -fuzztime 20s ./internal/cpu
 	$(GO) test -run '^$$' -fuzz '^FuzzAPI$$' -fuzztime 20s ./internal/fleet
 	$(GO) test -run '^$$' -fuzz '^FuzzFastForward$$' -fuzztime 20s ./internal/kernel

@@ -436,3 +436,49 @@ func BenchmarkRateSlices(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkCatalogSlice measures one mixed-fleet ISA slice: an
+// ISAWorkload.RunSlice of 200 instructions (a 4 ms quantum at the 50k IPS
+// the mixed population runs catalog programs at), per fleet catalog
+// program, with characterization off as on every fleet machine. The
+// looping crypto kernels are warmed past their first HALT, so they are
+// replayed from their recorded pass; the ISA miners never halt and are
+// executed by the block engine.
+func BenchmarkCatalogSlice(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		prog *isa.Program
+	}{
+		{"aes", workload.AESProgram()},
+		{"blake2b", workload.Blake2bProgram()},
+		{"keccak", workload.SHA3Program()},
+		{"sha256", workload.SHA2Program()},
+		{"xmr-isa", workload.XMRMinerProgram()},
+		{"zec-isa", workload.ZecMinerProgram()},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			cfg := cpu.DefaultConfig()
+			cfg.Cores = 1
+			machine, err := cpu.New(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			const ips, slice = 50_000, 4 * time.Millisecond
+			w, err := kernel.NewISAWorkload(c.prog, machine.Memory(), 0x100_0000, ips)
+			if err != nil {
+				b.Fatal(err)
+			}
+			w.Loop = true
+			core := machine.Core(0)
+			for i := 0; i < 1000; i++ { // 200k instructions: past every kernel's first HALT
+				w.RunSlice(core, slice)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w.RunSlice(core, slice)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/slice")
+			b.ReportMetric(float64(core.BlockCacheStats().Replayed)/float64(core.Counters().Retired()), "replayed_frac")
+		})
+	}
+}

@@ -12,8 +12,12 @@
 //   - calls to os.Getenv, os.LookupEnv and os.Environ, runtime.GOMAXPROCS
 //     and runtime.NumCPU (the environment and the host's CPU count differ
 //     between runs and hosts);
-//   - calls to package-level math/rand functions (the global stream is
-//     shared and lock-ordered; seeded *rand.Rand values are fine);
+//   - calls to package-level math/rand (and math/rand/v2) functions that
+//     draw from the global stream (it is shared and lock-ordered). The
+//     seeded constructors (rand.New, rand.NewSource, rand.NewZipf, and
+//     v2's New, NewPCG, NewChaCha8 and NewZipf) draw nothing from it and
+//     build exactly the caller-owned generators the message recommends,
+//     so they are not reported; neither are methods on those generators;
 //   - range over a map, unless the loop only collects keys/values into
 //     slices that are subsequently sorted in the same function.
 //
@@ -80,12 +84,19 @@ func checkCall(pass *analysis.Pass, call *ast.CallExpr) {
 			pass.Reportf(call.Pos(),
 				"call to %s.%s in a simulation package: host state differs between runs and hosts (pass the value in through a config)",
 				fn.Pkg().Name(), fn.Name())
-		case (fn.Pkg().Path() == "math/rand" || fn.Pkg().Path() == "math/rand/v2") && isPackageLevel(fn):
+		case (fn.Pkg().Path() == "math/rand" || fn.Pkg().Path() == "math/rand/v2") && isPackageLevel(fn) && !seededConstructors[fn.Name()]:
 			pass.Reportf(call.Pos(),
 				"call to global %s.%s: the shared stream makes results depend on goroutine interleaving (use a seeded *rand.Rand owned by the caller)",
 				fn.Pkg().Name(), fn.Name())
 		}
 	}
+}
+
+// seededConstructors are the math/rand and math/rand/v2 package-level
+// functions that build a caller-owned generator from an explicit seed or
+// source. Each name exists in one or both packages.
+var seededConstructors = map[string]bool{
+	"New": true, "NewSource": true, "NewZipf": true, "NewPCG": true, "NewChaCha8": true,
 }
 
 // isPackageLevel reports whether fn is a package-level function (methods

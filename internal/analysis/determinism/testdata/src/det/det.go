@@ -28,6 +28,10 @@ func seeded(r *rand.Rand) int {
 	return r.Intn(6) // ok: caller-owned seeded stream
 }
 
+func newStream(seed int64) *rand.Rand {
+	return rand.New(rand.NewSource(seed)) // ok: seeded constructors draw nothing from the global stream
+}
+
 func mergeOrder(m map[int]uint64) []int {
 	var keys []int
 	for k := range m { // ok: collected into a slice that is sorted below

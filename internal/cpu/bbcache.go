@@ -68,6 +68,9 @@ type BBStats struct {
 	// instructions retired through the cache (the histogram's sum).
 	LenCounts [bbLenBuckets]uint64
 	LenSum    uint64
+	// Replayed counts the instructions charged by pass replay (pass.go)
+	// rather than executed; they are included in LenSum.
+	Replayed uint64
 }
 
 // opCount is one per-opcode histogram increment baked into a block.

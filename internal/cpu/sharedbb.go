@@ -71,6 +71,7 @@ type SharedBlocksStats struct {
 type SharedBlocks struct {
 	mu     sync.Mutex
 	tables map[sharedKey]blockTable // guarded by mu
+	passes map[passKey]*passEntry   // guarded by mu; recorded pass traces (pass.go)
 
 	hits      atomic.Uint64
 	misses    atomic.Uint64
@@ -80,7 +81,7 @@ type SharedBlocks struct {
 
 // NewSharedBlocks returns an empty decoded-block store.
 func NewSharedBlocks() *SharedBlocks {
-	return &SharedBlocks{tables: map[sharedKey]blockTable{}}
+	return &SharedBlocks{tables: map[sharedKey]blockTable{}, passes: map[passKey]*passEntry{}}
 }
 
 // Stats returns a snapshot of the store's counters (zero for nil).

@@ -65,7 +65,6 @@ type Noise struct {
 // first 607 words are exactly one block of the recurrence, so they are
 // the ring; no seeding table is copied.
 func (r *Noise) Seed(seed int64) {
-	//lint:ignore determinism constructs a private source from seed; nothing is drawn from the global stream
 	src := rand.New(rand.NewSource(seed))
 	for i := range r.ring {
 		r.ring[i] = src.Uint64()

@@ -46,6 +46,7 @@ type kmetrics struct {
 	bbHits          []*obs.Counter
 	bbMisses        []*obs.Counter
 	bbInvalidations []*obs.Counter
+	bbReplayed      []*obs.Counter
 	bbLen           *obs.Histogram
 
 	retiredPerQuantum *obs.Histogram
@@ -160,6 +161,9 @@ func newKMetrics(reg *obs.Registry, cores int) *kmetrics {
 		m.bbInvalidations = append(m.bbInvalidations, reg.Counter(obs.Desc{
 			Name: "bb_invalidations_total", Label: label, Layer: obs.LayerCPU,
 			Unit: "invalidations", Help: "per-program switches to a new block table after tag-table generation changes"}))
+		m.bbReplayed = append(m.bbReplayed, reg.Counter(obs.Desc{
+			Name: "bb_replayed_insts_total", Label: label, Layer: obs.LayerCPU,
+			Unit: "instructions", Help: "instructions charged by replaying a recorded program pass instead of executing it"}))
 	}
 	return m
 }
@@ -205,6 +209,7 @@ func (m *kmetrics) observeQuantum(k *Kernel, parallel bool, execWindow, mergeDur
 		m.bbHits[i].Add(bb.Hits - prev.Hits)
 		m.bbMisses[i].Add(bb.Misses - prev.Misses)
 		m.bbInvalidations[i].Add(bb.Invalidations - prev.Invalidations)
+		m.bbReplayed[i].Add(bb.Replayed - prev.Replayed)
 		var lenDelta [len(bb.LenCounts)]uint64
 		for b := range bb.LenCounts {
 			lenDelta[b] = bb.LenCounts[b] - prev.LenCounts[b]

@@ -256,3 +256,57 @@ func TestObsDifferentialSerialParallel(t *testing.T) {
 		t.Errorf("total retired differs: serial %v parallel %v", sr, pr)
 	}
 }
+
+// countdownProgram counts a register down from 50 and halts: a looping
+// workload whose every pass is the same, so it replays from its first
+// HALT on.
+func countdownProgram() *isa.Program {
+	b := isa.NewBuilder("countdown")
+	b.Movi(isa.R1, 50)
+	b.Label("loop")
+	b.OpI(isa.ROLI, isa.R2, isa.R1, 7)
+	b.OpI(isa.SUBI, isa.R1, isa.R1, 1)
+	b.Cmpi(isa.R1, 0)
+	b.Jcc(isa.JNE, "loop")
+	b.Halt()
+	return b.MustBuild()
+}
+
+// TestObsReplayedInsts: replayed instructions reach the per-core
+// bb_replayed_insts_total counter and the procfs stats file, and they are
+// retired instructions like any other.
+func TestObsReplayedInsts(t *testing.T) {
+	k := newTestKernel(t, true)
+	w, err := kernel.NewISAWorkload(countdownProgram(), k.Machine().Memory(), 0x300_0000, 50_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Loop = true
+	k.Spawn("countdown", 1000, w)
+	k.Run(time.Second)
+
+	var replayed, metric, retired float64
+	for i := 0; i < k.Machine().Cores(); i++ {
+		core := k.Machine().Core(i)
+		replayed += float64(core.BlockCacheStats().Replayed)
+		retired += float64(core.Counters().Retired())
+		v, ok := k.Obs().Value("bb_replayed_insts_total", obs.CoreLabel(i))
+		if !ok {
+			t.Fatalf("bb_replayed_insts_total{core=%d} not registered", i)
+		}
+		metric += v
+	}
+	if replayed == 0 || metric != replayed {
+		t.Errorf("bb_replayed_insts_total = %v, cores replayed %v (want equal and non-zero)", metric, replayed)
+	}
+	if replayed >= retired || replayed < retired*0.99 {
+		t.Errorf("replayed %v of %v retired instructions; want all but the first pass", replayed, retired)
+	}
+	stats, err := k.ProcFS().Read(kernel.ProcStats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(stats, "bb_replayed_insts_total") {
+		t.Error("procfs stats do not list bb_replayed_insts_total")
+	}
+}

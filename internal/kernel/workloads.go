@@ -11,6 +11,12 @@ import (
 // ISAWorkload runs a real program on the simulated CPU. The slice's
 // instruction budget is derived from the core frequency and a nominal IPC
 // of 1 (fast mode accounts one cycle per instruction).
+//
+// A looping program whose pass the CPU's block store has recorded
+// (cpu.PassTrace) is replayed from its first HALT on: each slice charges
+// the core exactly what executing it would, while the context and the
+// task's region stay at the last point really executed until Context
+// brings them forward (DESIGN.md §5e, "Pass replay").
 type ISAWorkload struct {
 	ctx    *cpu.ArchContext
 	freqHz uint64
@@ -21,6 +27,8 @@ type ISAWorkload struct {
 	prog *isa.Program
 	memo *mem.Memory
 	base uint64
+	// replay is the pass position of a replaying looping program.
+	replay cpu.PassReplay
 }
 
 // NewISAWorkload prepares prog at base in m and wraps it as a schedulable
@@ -33,13 +41,27 @@ func NewISAWorkload(prog *isa.Program, m *mem.Memory, base uint64, freqHz uint64
 	return &ISAWorkload{ctx: ctx, freqHz: freqHz, prog: prog, memo: m, base: base}, nil
 }
 
-// Context exposes the architectural context (for result inspection).
-func (w *ISAWorkload) Context() *cpu.ArchContext { return w.ctx }
+// Context exposes the architectural context (for result inspection). A
+// replaying workload first brings the context and its region in memory
+// to the exact state execution would have reached.
+func (w *ISAWorkload) Context() *cpu.ArchContext {
+	w.replay.Sync(w.ctx, w.memo)
+	return w.ctx
+}
 
 // RunSlice implements Workload.
 func (w *ISAWorkload) RunSlice(core *cpu.Core, d time.Duration) {
 	budget := uint64(d.Seconds() * float64(w.freqHz))
 	core.LoadContext(w.ctx)
+	if w.replay.Active() {
+		if core.CanReplay() {
+			core.Replay(&w.replay, budget)
+			return
+		}
+		// Detailed mode, an observer or NoBlockCache: execute from the
+		// exact state.
+		w.replay.Stop(w.ctx, w.memo)
+	}
 	for budget > 0 {
 		ran := core.Run(budget)
 		budget -= ran
@@ -47,6 +69,10 @@ func (w *ISAWorkload) RunSlice(core *cpu.Core, d time.Duration) {
 			continue
 		}
 		if !w.Loop || w.ctx.Fault != nil {
+			return
+		}
+		if w.replay.Start(core, w.prog, w.base) {
+			core.Replay(&w.replay, budget)
 			return
 		}
 		// Restart for daemon-style workloads. The image was validated once
