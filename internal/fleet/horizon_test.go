@@ -41,12 +41,15 @@ func machineStates(f *Fleet) []machineState {
 
 // runHorizonFleet builds an idle-heavy 16-machine fleet with 250ms rounds
 // and 2s windows, plants miners whose window crossings fall on either side
-// of a round barrier, and runs 6s more either as one Run call (long), as
-// one Run call per round (every machine advanced every round), or with
-// fast-forward ablated. At the round that starts at 2s the hook submits
-// two deferred workloads: a miner onto an idle machine the long run has
-// parked, and a two-thread miner onto an app machine in the middle of its
-// window.
+// of a round barrier, and catalog programs at 50k IPS: kernels that replay
+// their passes (alone, or beside an app that later gains a deferred miner)
+// and xmr-isa, which never does. It runs 6s more either as one Run call
+// (long), as one Run call per round (every machine advanced every round),
+// or with fast-forward ablated. At the round that starts at 2s the hook
+// submits two deferred workloads: a miner onto an idle machine the long
+// run has parked, and a two-thread miner onto an app machine in the middle
+// of its window. A long run with fast-forward must end with the machines
+// whose only ISA work is replay parked.
 func runHorizonFleet(t *testing.T, long, noFF bool) horizonRun {
 	t.Helper()
 	cfg := testConfig(16) // 250ms rounds, 2s windows
@@ -70,6 +73,15 @@ func runHorizonFleet(t *testing.T, long, noFF bool) horizonRun {
 		submit(WorkloadSpec{Tenant: "acme", Kind: KindApp, App: "Slack", Machine: m, Pin: true})
 	}
 	submit(WorkloadSpec{Tenant: "attacker", Kind: KindMiner, Machine: 13, Pin: true})
+	replaying := map[int]string{}
+	for _, p := range []struct {
+		machine int
+		prog    string
+	}{{0, "keccak"}, {4, "sha256"}, {8, "blake2b"}, {10, "aes"}} {
+		replaying[p.machine] = p.prog
+		submit(WorkloadSpec{Tenant: "acme", Kind: KindProgram, Program: p.prog, IPS: 50_000, Machine: p.machine, Pin: true})
+	}
+	submit(WorkloadSpec{Tenant: "acme", Kind: KindProgram, Program: "xmr-isa", IPS: 50_000, Machine: 15, Pin: true})
 	// Spawned at 100ms: a miner on a low machine ID whose crossings fall
 	// mid-round, so the stream interleaves it with machine 13's.
 	f.Run(100 * time.Millisecond)
@@ -117,6 +129,19 @@ func runHorizonFleet(t *testing.T, long, noFF bool) horizonRun {
 	}
 	if len(deferred) != 2 || !deferred[0].Deferred || !deferred[1].Deferred {
 		t.Fatalf("hook submissions = %+v, want two deferred placements", deferred)
+	}
+	if long && !noFF {
+		// The last round advanced every machine; a fast-forwarded one
+		// holds a horizon past its clock. Machine 15 runs xmr-isa.
+		for _, mem := range f.Members() {
+			prog, replays := replaying[mem.ID]
+			if !replays && mem.ID != 15 {
+				continue
+			}
+			if parked := mem.horizon > mem.M.Now(); parked != replays {
+				t.Errorf("machine %d (%s) parked = %v at the end of the run, want %v", mem.ID, prog, parked, replays)
+			}
+		}
 	}
 
 	stream := f.AlertStream()

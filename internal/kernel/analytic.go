@@ -13,13 +13,16 @@ import (
 // advanced in closed form: RunSlices(core, d, n) must leave every piece of
 // observable state — counter banks, the workload's own accumulators, and
 // its random-number stream — bit-identical to n consecutive RunSlice(core,
-// d) calls. Implementations must also be perpetual and steady while
-// queued: Done stays false and the slice share stays constant, so the
+// d) calls. Kernel fast-forward batches a task's slices only while the
+// task is steady (Kernel.steady): not Done, with a constant slice share,
+// and charging the same stream however its slices are grouped, so the
 // scheduler's packing decision cannot change across the advanced span.
-// The rate models (internal/workload, internal/miner) qualify by
-// construction: their RunSlice is RunSlices(core, d, 1) and both run
-// RunRateSlices, whose stream their golden tests pin. ISA-backed
-// workloads execute real instructions and do not qualify.
+// The rate models (internal/workload, internal/miner) are always steady:
+// their RunSlice is RunSlices(core, d, 1) and both run RunRateSlices,
+// whose stream their golden tests pin. An ISAWorkload is steady once it
+// replays its recorded pass on cores that can all replay (DESIGN.md §5e);
+// before its first HALT, or when it never replays, it executes real
+// instructions and is not.
 type AnalyticWorkload interface {
 	Workload
 	// RunSlices runs n consecutive slices of duration d on core.
@@ -164,16 +167,17 @@ func (k *Kernel) FastForward(d time.Duration) bool {
 // FastForwardTo advances the simulation to the first quantum boundary at
 // or past end without per-quantum dispatch, iff the whole span can be
 // advanced analytically: the runnable set is empty (time moves for free)
-// or purely rate-model with a slice plan that covers every runnable task.
+// or every runnable task is steady (rate models, and looping ISA programs
+// replaying their recorded pass) with a slice plan that covers them all.
 // Counter banks, RSX accumulators, window state, rng streams, the sample
 // count, and any alerts raised are bit-identical to RunTo(end) — the
 // differential tests in analytic_test.go hold the two paths to equality
 // field by field.
 //
 // It returns ok = false — leaving all state untouched — when the span
-// needs per-quantum simulation (ISA work queued, an oversubscribed plan, or
-// a machine-local metrics registry whose per-quantum observations would be
-// skipped). Callers fall back to RunTo.
+// needs per-quantum simulation (an ISA task executing real instructions,
+// an oversubscribed plan, or a machine-local metrics registry whose
+// per-quantum observations would be skipped). Callers fall back to RunTo.
 //
 // On success horizon is the start of the next quantum that does anything
 // beyond commutative accounting: the first monitoring-window crossing of
@@ -202,8 +206,8 @@ func (k *Kernel) FastForwardTo(end time.Duration) (horizon time.Duration, ok boo
 //
 //cryptojack:locked
 func (k *Kernel) fastForwardLocked(end time.Duration) (time.Duration, bool) {
-	// Pre-scan the runnable set: every runnable task must be an analytic
-	// rate model for the plan to be stationary across the span.
+	// Pre-scan the runnable set: every runnable task must be steady for
+	// the plan to be stationary across the span.
 	idle := true
 	for i := k.runqHead; i < len(k.runq); i++ {
 		t := k.runq[i]
@@ -211,7 +215,7 @@ func (k *Kernel) fastForwardLocked(end time.Duration) (time.Duration, bool) {
 			continue
 		}
 		idle = false
-		if _, ok := t.workload.(AnalyticWorkload); !ok || t.workload.Done() {
+		if !k.steady(t.workload) {
 			return k.now, false
 		}
 	}
@@ -273,6 +277,29 @@ func (k *Kernel) fastForwardLocked(end time.Duration) (time.Duration, bool) {
 	}
 	k.rebuildRunq()
 	return horizon, true
+}
+
+// steady reports whether w's slices may be batched across a span: it is
+// an AnalyticWorkload that is not done, and an ISAWorkload must also be
+// replaying on every core, since the plan may place it on any of them.
+func (k *Kernel) steady(w Workload) bool {
+	a, ok := w.(AnalyticWorkload)
+	if !ok || a.Done() {
+		return false
+	}
+	iw, ok := w.(*ISAWorkload)
+	if !ok {
+		return true
+	}
+	if !iw.replay.Active() {
+		return false
+	}
+	for c := range k.machine.Cores() {
+		if !k.machine.Core(c).CanReplay() {
+			return false
+		}
+	}
+	return true
 }
 
 // quietQuanta returns how many quanta of the current plan may run before

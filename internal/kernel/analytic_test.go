@@ -1,12 +1,16 @@
 package kernel_test
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"reflect"
 	"testing"
 	"time"
 
+	"darkarts/internal/cpu"
 	"darkarts/internal/cryptoalg"
+	"darkarts/internal/isa"
 	"darkarts/internal/kernel"
 	"darkarts/internal/machine"
 	"darkarts/internal/miner"
@@ -47,8 +51,8 @@ func populateRate(m *machine.Machine) {
 	miner.SpawnMiner(m.Kernel(), miner.Monero, 0.5, 4, 1000)
 }
 
-// machineSnap captures every externally observable piece of simulation
-// state the bit-identity claim covers.
+// ffSnap captures every externally observable piece of simulation state
+// the bit-identity claim covers.
 type ffSnap struct {
 	Now     time.Duration
 	Samples uint64
@@ -56,6 +60,18 @@ type ffSnap struct {
 	RSX     []uint64 // per task, thread-group cumulative counts
 	Sess    []uint64 // per task, session cumulative counts
 	Banks   [][]uint64
+	BB      []cpu.BBStats // per core, replayed instructions included
+	ISA     []isaSnap     // per ISA task, context synced to its position
+}
+
+// isaSnap is an ISA task's architectural state: its registers, flags and
+// PC, and a hash of its memory region.
+type isaSnap struct {
+	Regs   [isa.NumRegs]uint64
+	Flags  cpu.Flags
+	PC     int
+	Halted bool
+	Region uint64
 }
 
 func ffSnapshot(m *machine.Machine) ffSnap {
@@ -67,6 +83,11 @@ func ffSnapshot(m *machine.Machine) ffSnap {
 	for _, t := range m.Kernel().Tasks() {
 		s.RSX = append(s.RSX, t.RSX().RSXCount())
 		s.Sess = append(s.Sess, t.Session().RSXCount())
+		if ctx, region, ok := kernel.ISAState(t); ok {
+			h := fnv.New64a()
+			h.Write(region)
+			s.ISA = append(s.ISA, isaSnap{Regs: ctx.Regs, Flags: ctx.Flags, PC: ctx.PC, Halted: ctx.Halted, Region: h.Sum64()})
+		}
 	}
 	c := m.CPU()
 	for i := 0; i < c.Cores(); i++ {
@@ -76,6 +97,7 @@ func ffSnapshot(m *machine.Machine) ffSnap {
 			row = append(row, n)
 		}
 		s.Banks = append(s.Banks, row)
+		s.BB = append(s.BB, c.Core(i).BlockCacheStats())
 	}
 	return s
 }
@@ -196,36 +218,173 @@ func TestFastForwardIdle(t *testing.T) {
 	}
 }
 
-// TestFastForwardRefusesISA: a machine running real ISA work must refuse
-// to fast-forward, leave its state untouched, and then behave exactly as
-// if FastForward had never been called.
+// retireCounter is a retirement observer; attaching one to a core stops
+// that core from replaying.
+type retireCounter struct{ n uint64 }
+
+func (o *retireCounter) Retired(int, isa.Inst) { o.n++ }
+
+// TestFastForwardRefusesISA: a machine with an ISA task that executes real
+// instructions must refuse to fast-forward, leave its state untouched, and
+// then behave exactly as if FastForward had never been called. A looping
+// task executes until its program's first HALT, always when its program
+// never halts or the recorder refuses its pass, and whenever a core of the
+// machine cannot replay, even a core the task does not run on.
 func TestFastForwardRefusesISA(t *testing.T) {
-	prog, _ := cryptoalg.BuildSHA256Program(4)
-	build := func() *machine.Machine {
-		m := newFFMachine(t)
-		m.SpawnApp(workload.TableIIApps()[0])
-		if _, err := m.SpawnProgram("sha256", prog, 50_000); err != nil {
+	shortPass, _ := cryptoalg.BuildSHA256Program(4) // halts within 10ms at 50k IPS
+	// Counts its passes in a data word that a restart does not rewrite,
+	// so no two passes leave the same region and the recorder refuses it.
+	b := isa.NewBuilder("counts-passes")
+	b.Ld(1, 28, 0)
+	b.OpI(isa.ADDI, 1, 1, 1)
+	b.St(28, 0, 1)
+	b.Halt()
+	counter, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	counter.DataSize = 8
+	for _, tc := range []struct {
+		name string
+		prog *isa.Program
+		// setup adjusts the options, or the machine before anything runs.
+		opts      func(o *machine.Options)
+		setup     func(m *machine.Machine)
+		replaying bool // whether the task replays when fast-forward refuses
+		counts    bool // whether the region's first word counts passes
+	}{
+		// A 60,564-instruction pass: over 1s at 50k IPS.
+		{name: "before-first-halt", prog: workload.SHA2Program()},
+		{name: "xmr-never-halts", prog: workload.XMRMinerProgram()},
+		{name: "recorder-refuses", prog: counter, counts: true},
+		{name: "observer-on-idle-core", prog: shortPass, replaying: true,
+			setup: func(m *machine.Machine) { m.CPU().Core(3).SetObserver(&retireCounter{}) }},
+		{name: "no-block-cache", prog: shortPass,
+			opts: func(o *machine.Options) { o.CPU.NoBlockCache = true }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := ffOptions()
+			if tc.opts != nil {
+				tc.opts(&opts)
+			}
+			build := func() (*machine.Machine, *kernel.Task) {
+				m, err := machine.New(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tc.setup != nil {
+					tc.setup(m)
+				}
+				m.SpawnApp(workload.TableIIApps()[0])
+				task, err := m.SpawnProgram(tc.prog.Name, tc.prog, 50_000)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return m, task
+			}
+			ref, _ := build()
+			ff, task := build()
+			ff.Run(10 * time.Millisecond)
+			ref.Run(10 * time.Millisecond)
+			if got := kernel.Replaying(task); got != tc.replaying {
+				t.Fatalf("task replaying = %v, want %v", got, tc.replaying)
+			}
+			if _, region, _ := kernel.ISAState(task); tc.counts && binary.LittleEndian.Uint64(region) < 2 {
+				t.Fatalf("the task completed %d passes, want its first HALT behind it", binary.LittleEndian.Uint64(region))
+			}
+			before := ff.Now()
+			horizon, ok := ff.FastForwardTo(time.Second)
+			if ok {
+				t.Fatal("FastForward accepted a machine whose ISA task executes")
+			}
+			if now := ff.Now(); now != before {
+				t.Fatalf("refused FastForward moved the clock from %v to %v", before, now)
+			}
+			if horizon != before {
+				t.Errorf("refusal horizon = %v, want the current time %v", horizon, before)
+			}
+			ref.Run(3 * time.Second)
+			ff.Run(3 * time.Second)
+			compareSnaps(t, "after refused fast-forward", ffSnapshot(ff), ffSnapshot(ref))
+		})
+	}
+}
+
+// TestFastForwardReplayedProgram: once looping catalog kernels replay
+// their recorded passes, FastForwardTo accepts them beside Table II apps
+// and a miner, returns the next window crossing as its horizon, and
+// matches RunTo bit for bit (counter banks, block statistics, the tasks'
+// synced contexts and regions) across window crossings, a firmware update
+// to the RSXO tag table between spans, and the session aggregation of a
+// kernel forked from an app.
+func TestFastForwardReplayedProgram(t *testing.T) {
+	opts := ffOptions()
+	opts.Kernel.Tunables.SessionAggregation = true
+	ts := opts.Kernel.TimeSlice
+	keccak, _ := cryptoalg.BuildKeccakFProgram() // a 9,300-instruction pass
+	blake := workload.Blake2bProgram()           // a 19,186-instruction pass
+	build := func() (*machine.Machine, []*kernel.Task) {
+		m, err := machine.New(opts)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return m
+		k := m.Kernel()
+		parent := m.SpawnApp(workload.TableIIApps()[0])
+		m.SpawnApp(workload.TableIIApps()[12])
+		miner.SpawnMiner(k, miner.Monero, 0.5, 2, 1000)
+		bt, err := m.SpawnProgram("blake2b", blake, 50_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := kernel.NewISAWorkload(keccak, m.CPU().Memory(), 0x4000_0000, 120_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Loop = true
+		kt := k.SpawnChildProcess(parent, "keccakf", w)
+		return m, []*kernel.Task{bt, kt}
 	}
-	ref, ff := build(), build()
-	ff.Run(10 * time.Millisecond)
-	ref.Run(10 * time.Millisecond)
-	before := ff.Now()
-	horizon, ok := ff.FastForwardTo(time.Second)
-	if ok {
-		t.Fatal("FastForward accepted a machine with ISA work")
+	ref, _ := build()
+	ff, kernels := build()
+	const start = 500 * time.Millisecond // past both kernels' first HALT
+	ref.RunTo(start)
+	ff.RunTo(start)
+	for _, task := range kernels {
+		if !kernel.Replaying(task) {
+			t.Fatalf("%s is not replaying at %v", task.Name, start)
+		}
 	}
-	if now := ff.Now(); now != before {
-		t.Fatalf("refused FastForward moved the clock from %v to %v", before, now)
+	for end := start + 300*time.Millisecond; end <= 9*time.Second; end += 300 * time.Millisecond {
+		if end == 4700*time.Millisecond {
+			for _, m := range []*machine.Machine{ref, ff} {
+				if err := m.UpdateMicrocode(2, "rsxo"); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		ref.RunTo(end)
+		horizon, ok := ff.FastForwardTo(end)
+		if !ok {
+			t.Fatalf("FastForwardTo(%v) refused replaying kernels", end)
+		}
+		if want := ffHorizon(ff, ts); horizon != want {
+			t.Errorf("FastForwardTo(%v): horizon %v, want the next window crossing %v", end, horizon, want)
+		}
+		compareSnaps(t, fmt.Sprintf("fast-forward to %v", end), ffSnapshot(ff), ffSnapshot(ref))
 	}
-	if horizon != before {
-		t.Errorf("refusal horizon = %v, want the current time %v", horizon, before)
+	if len(ref.Alerts()) == 0 {
+		t.Fatal("reference run raised no alerts; the crossings went unexercised")
 	}
-	ref.Run(3 * time.Second)
-	ff.Run(3 * time.Second)
-	compareSnaps(t, "after refused fast-forward", ffSnapshot(ff), ffSnapshot(ref))
+	var replayed uint64
+	for _, bb := range ffSnapshot(ff).BB {
+		replayed += bb.Replayed
+	}
+	if replayed == 0 {
+		t.Fatal("no instructions were replayed")
+	}
+	ref.Run(time.Second)
+	ff.Run(time.Second)
+	compareSnaps(t, "after resuming Run", ffSnapshot(ff), ffSnapshot(ref))
 }
 
 // TestFastForwardRefusesOversubscribed: more CPU-bound tasks than cores
@@ -325,10 +484,11 @@ func TestFastForwardHorizon(t *testing.T) {
 }
 
 // FuzzFastForward holds fast-forward to per-quantum simulation over
-// fuzzed rate-model populations (Table II apps and miners of either coin,
-// any throttle and thread count, root or not, statically flagged or not,
-// forked into a parent's session or not) and fuzzed tunables, including
-// a period of exactly one time slice. One twin advances each round with
+// fuzzed populations (Table II apps and miners of either coin, any
+// throttle and thread count, root or not, statically flagged or not,
+// forked into a parent's session or not, and optionally one looping
+// Keccak-f kernel at a fuzzed rate, whose short pass replays within the
+// span) and fuzzed tunables, including a period of exactly one time slice. One twin advances each round with
 // FastForwardTo, falling back to RunTo on refusal as the fleet does; the
 // other always runs RunTo. After every round the alert stream, sample
 // count, clock, and counters must match, and an accepted horizon must be
@@ -340,7 +500,7 @@ func FuzzFastForward(f *testing.F) {
 	// enabled, monitor root, session aggregation; app count, then per app
 	// profile, uid, flag; miner count, then per miner uid, coin, throttle,
 	// threads-1, flag, child; round count-1, then per round 10ms units-1
-	// and jitter ms.
+	// and jitter ms; then the kernel's rate in 10k IPS units (0: none).
 	f.Add([]byte{}) // idle machine
 	// Apps (one root) and a throttled flagged miner on the paper's threshold.
 	f.Add([]byte{49, 1, 4, 24, 1, 1, 1, 2, 0, 1, 0, 11, 0, 0, 1, 1, 0, 128, 1, 1, 0, 3, 49, 0, 29, 3, 35, 1, 63, 2})
@@ -350,7 +510,11 @@ func FuzzFastForward(f *testing.F) {
 	f.Add([]byte{255, 3, 2, 0, 1, 0, 1, 3, 4, 0, 1, 7, 1, 0, 14, 2, 1, 2, 1, 0, 0, 3, 0, 0, 0, 1, 255, 2, 1, 0, 4, 63, 0, 63, 1, 10, 2, 5, 3, 40, 0})
 	// Monitoring disabled.
 	f.Add([]byte{10, 0, 0, 24, 0, 0, 0, 1, 0, 1, 0, 1, 1, 0, 0, 2, 0, 0, 2, 20, 1})
+	// A replaying kernel (200 instructions a slice) beside an app and a
+	// throttled miner, with rounds on either side of its first HALT.
+	f.Add([]byte{49, 1, 4, 24, 1, 0, 0, 1, 0, 1, 0, 1, 1, 0, 128, 1, 0, 0, 4, 1, 0, 63, 2, 63, 0, 9, 1, 40, 3, 5})
 	apps := workload.TableIIApps()
+	keccak, _ := cryptoalg.BuildKeccakFProgram() // a 9,300-instruction pass
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() int {
 			if len(data) == 0 {
@@ -386,6 +550,13 @@ func FuzzFastForward(f *testing.F) {
 			pop = append(pop, spawn{uid: next() % 3, coin: next() % 2, throttle: next(),
 				threads: 1 + next()%4, flag: next() % 2, child: next() % 2})
 		}
+		var ends []time.Duration
+		end := time.Duration(0)
+		for r, n := 0, 1+next()%6; r < n; r++ {
+			end += time.Duration(1+next()%64)*10*time.Millisecond + time.Duration(next()%4)*time.Millisecond
+			ends = append(ends, end)
+		}
+		ips := uint64(next()) * 10_000
 		build := func() *machine.Machine {
 			m, err := machine.New(opts)
 			if err != nil {
@@ -416,15 +587,18 @@ func FuzzFastForward(f *testing.F) {
 					tasks[0].RSX().SetStaticPrior(0.9, true)
 				}
 			}
+			if ips > 0 {
+				if _, err := m.SpawnProgram("keccakf", keccak, ips); err != nil {
+					t.Fatal(err)
+				}
+			}
 			return m
 		}
 		ref, ff := build(), build()
 
 		type horizonAt struct{ now, horizon time.Duration }
 		var horizons []horizonAt
-		end := time.Duration(0)
-		for r, n := 0, 1+next()%6; r < n; r++ {
-			end += time.Duration(1+next()%64)*10*time.Millisecond + time.Duration(next()%4)*time.Millisecond
+		for r, end := range ends {
 			ref.Kernel().RunTo(end)
 			horizon, ok := ff.Kernel().FastForwardTo(end)
 			if !ok {

@@ -22,5 +22,6 @@
 // fast-forward whole spans of quanta between monitoring-window crossings.
 // Their burst noise comes from Noise, math/rand's seeded normal stream
 // reproduced bit for bit as a concrete type, whose draw RunRateSlices
-// takes inline.
+// takes inline. A looping ISAWorkload also implements AnalyticWorkload,
+// and fast-forwards once it replays its recorded pass.
 package kernel

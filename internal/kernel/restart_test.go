@@ -355,3 +355,66 @@ func TestISAWorkloadRestartDoesNotAllocate(t *testing.T) {
 		t.Fatalf("restarting slice allocates %.1f objects, want 0", allocs)
 	}
 }
+
+// TestISAWorkloadRunSlicesMatchesRunSlice: RunSlices(core, d, n) is n
+// RunSlice calls, before the first HALT (executed) and after it
+// (replayed), down to the block statistics, whose block splits fall at
+// every slice boundary, and the context left loaded on a core another
+// task used in between.
+func TestISAWorkloadRunSlicesMatchesRunSlice(t *testing.T) {
+	kf, _ := cryptoalg.BuildKeccakFProgram()
+	d := sliceFor(t, 200)
+	var ws [2]*ISAWorkload
+	var cs [2]*cpu.CPU
+	for i := range ws {
+		cs[i] = restartCPU(t, cpu.ModeFast)
+		w, err := NewISAWorkload(kf, cs[i].Memory(), restartBase, restartFreq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Loop = true
+		ws[i] = w
+	}
+	for _, n := range []int{1, 7, 30, 1, 50, 200, 3} {
+		for _, c := range cs {
+			c.Core(0).LoadContext(&cpu.ArchContext{Halted: true})
+		}
+		ws[0].RunSlices(cs[0].Core(0), d, n)
+		for i := 0; i < n; i++ {
+			ws[1].RunSlice(cs[1].Core(0), d)
+		}
+		got, want := cs[0].Core(0), cs[1].Core(0)
+		size := int(cpu.RegionSize(kf))
+		if diff := diffStates(captureState(got, ws[0].Context(), cs[0].Memory(), size),
+			captureState(want, ws[1].Context(), cs[1].Memory(), size)); diff != "" {
+			t.Fatalf("after RunSlices(%d): %s", n, diff)
+		}
+		if g, w := got.BlockCacheStats(), want.BlockCacheStats(); g != w {
+			t.Fatalf("after RunSlices(%d): block statistics %+v, RunSlice %+v", n, g, w)
+		}
+	}
+	if !ws[0].replay.Active() || ws[0].Context().Halted {
+		t.Fatal("the workload is not replaying; the replayed path went unexercised")
+	}
+}
+
+// TestISAWorkloadRunSlicesDoesNotAllocate pins the batched replay path
+// fast-forward takes: many replayed slices in one call allocate nothing.
+func TestISAWorkloadRunSlicesDoesNotAllocate(t *testing.T) {
+	kf, _ := cryptoalg.BuildKeccakFProgram()
+	c := restartCPU(t, cpu.ModeFast)
+	w, err := NewISAWorkload(kf, c.Memory(), restartBase, restartFreq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Loop = true
+	core := c.Core(0)
+	d := sliceFor(t, 200)
+	w.RunSlices(core, d, 200) // record, and decode every entry a 200 slice reaches
+	if !w.replay.Active() {
+		t.Fatal("workload is not replaying")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { w.RunSlices(core, d, 50) }); allocs != 0 {
+		t.Fatalf("batched replayed slices allocate %.1f objects, want 0", allocs)
+	}
+}

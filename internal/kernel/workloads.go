@@ -49,6 +49,15 @@ func (w *ISAWorkload) Context() *cpu.ArchContext {
 	return w.ctx
 }
 
+// RunSlices implements AnalyticWorkload: n consecutive RunSlice calls. A
+// replaying task charges each slice with its own Replay call, so blocks
+// split at slice boundaries exactly as they would slice by slice.
+func (w *ISAWorkload) RunSlices(core *cpu.Core, d time.Duration, n int) {
+	for ; n > 0; n-- {
+		w.RunSlice(core, d)
+	}
+}
+
 // RunSlice implements Workload.
 func (w *ISAWorkload) RunSlice(core *cpu.Core, d time.Duration) {
 	budget := uint64(d.Seconds() * float64(w.freqHz))

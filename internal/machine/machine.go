@@ -190,8 +190,9 @@ func (m *Machine) FastForward(d time.Duration) bool { return m.kern.FastForward(
 
 // FastForwardTo advances simulated time to the first quantum boundary at
 // or past end analytically when the machine is quiescent — nothing
-// runnable, or a purely rate-model runnable set whose slice plan is
-// stationary — leaving all observable state bit-identical to RunTo(end).
+// runnable, or a runnable set of rate models and replaying catalog
+// programs whose slice plan is stationary — leaving all observable state
+// bit-identical to RunTo(end).
 // ok = false means no state changed and the caller must RunTo(end)
 // instead. On success horizon is the start of the next quantum that could
 // raise an alert or reset a monitoring window (kernel.NoHorizon if none):
