@@ -390,15 +390,6 @@ func BenchmarkISAMinerHashRound(b *testing.B) {
 	}
 }
 
-func BenchmarkCryptoNightLite(b *testing.B) {
-	cn := &miner.CryptoNightLite{ScratchKB: 16, Iterations: 512}
-	header := miner.Header{Height: 1}.Marshal()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cn.HashHeader(header)
-	}
-}
-
 // BenchmarkRateSlices measures the rate-model slice routine that
 // fast-forward replays: one RunSlices call of n 4 ms slices per
 // iteration, on a Table II app and on one thread of a 4-thread Monero

@@ -8,14 +8,14 @@
 //
 //	characterize -list
 //	characterize -workload sha3 -window 20000000
-//	characterize -workload libquantum -top 15
+//	characterize -workload spec-libquantum -top 15
+//	characterize -workload xmr-isa -window 2000000
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 
 	"darkarts/internal/cpu"
 	"darkarts/internal/isa"
@@ -23,20 +23,6 @@ import (
 	"darkarts/internal/trace"
 	"darkarts/internal/workload"
 )
-
-func builtinPrograms() map[string]func() *isa.Program {
-	progs := map[string]func() *isa.Program{
-		"sha2":    workload.SHA2Program,
-		"sha3":    workload.SHA3Program,
-		"aes":     workload.AESProgram,
-		"blake2b": workload.Blake2bProgram,
-	}
-	for _, p := range workload.SPEC2K6() {
-		p := p
-		progs[p.Name] = p.Program
-	}
-	return progs
-}
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
@@ -55,21 +41,20 @@ func run(args []string) error {
 		return err
 	}
 
-	progs := builtinPrograms()
+	entries := workload.ProgramRegistry()
 	if *list {
-		names := make([]string, 0, len(progs))
-		for n := range progs {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			fmt.Println(n)
+		for _, e := range entries {
+			fmt.Println(e.Name)
 		}
 		return nil
 	}
-
-	build, ok := progs[*name]
-	if !ok {
+	var build func() *isa.Program
+	for _, e := range entries {
+		if e.Name == *name {
+			build = e.Build
+		}
+	}
+	if build == nil {
 		return fmt.Errorf("unknown workload %q (use -list)", *name)
 	}
 	prog := build()

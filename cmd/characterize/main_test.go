@@ -15,7 +15,13 @@ func TestRunSHA3(t *testing.T) {
 }
 
 func TestRunSPEC(t *testing.T) {
-	if err := run([]string{"-workload", "povray", "-window", "200000", "-top", "5"}); err != nil {
+	if err := run([]string{"-workload", "spec-povray", "-window", "200000", "-top", "5"}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestRunISAMiner(t *testing.T) {
+	if err := run([]string{"-workload", "xmr-isa", "-window", "200000", "-top", "5"}); err != nil {
 		t.Fatal(err)
 	}
 }

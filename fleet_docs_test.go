@@ -3,7 +3,9 @@ package darkarts_test
 // FLEET.md is the architecture contract for the fleet service. This test
 // ties the doc to the code: every API route must be documented AND served,
 // every WorkloadSpec JSON field and catalog program must be named, and
-// every file the doc's file map points at must exist.
+// every file the doc's file map points at must exist. The same existence
+// check covers the command and package paths in README.md and in
+// DESIGN.md's module inventory.
 
 import (
 	"net/http"
@@ -106,6 +108,40 @@ func TestFleetDocCoversAPIAndTypes(t *testing.T) {
 		}
 		if _, err := os.Stat(ref); err != nil {
 			t.Errorf("FLEET.md references %s: %v", ref, err)
+		}
+	}
+}
+
+// TestDocPackagePathsExist fails when README.md or DESIGN.md's module
+// inventory still names a cmd/<name> or internal/<name> directory that is
+// gone, so a deleted command or package cannot keep its doc row.
+func TestDocPackagePathsExist(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inventory := string(design)
+	start := strings.Index(inventory, "## 3. Module inventory")
+	if start < 0 {
+		t.Fatal("DESIGN.md has no module inventory section")
+	}
+	inventory = inventory[start:]
+	if end := strings.Index(inventory[1:], "\n## "); end >= 0 {
+		inventory = inventory[:end+1]
+	}
+	path := regexp.MustCompile(`\b((?:cmd|internal)/[a-z0-9]+)\b`)
+	for _, doc := range []struct{ name, text string }{
+		{"README.md", string(readme)},
+		{"DESIGN.md module inventory", inventory},
+	} {
+		for _, m := range path.FindAllStringSubmatch(doc.text, -1) {
+			if _, err := os.Stat(m[1]); err != nil {
+				t.Errorf("%s names %q: %v", doc.name, m[1], err)
+			}
 		}
 	}
 }

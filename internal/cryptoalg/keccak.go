@@ -123,27 +123,3 @@ func Keccak256(msg []byte) [32]byte {
 	copy(out[:], keccakSponge(msg, sha3Rate256, 0x01, 32))
 	return out
 }
-
-// Keccak1600State absorbs msg into a fresh CryptoNight-style Keccak state
-// (rate 136, pad 0x01) and returns the full 200-byte state after the final
-// permutation. CryptoNight uses this state to seed its memory-hard loop.
-func Keccak1600State(msg []byte) [25]uint64 {
-	var state [25]uint64
-	rate := sha3Rate256
-	for len(msg) >= rate {
-		for i := 0; i < rate/8; i++ {
-			state[i] ^= binary.LittleEndian.Uint64(msg[i*8:])
-		}
-		KeccakF1600(&state)
-		msg = msg[rate:]
-	}
-	block := make([]byte, rate)
-	copy(block, msg)
-	block[len(msg)] = 0x01
-	block[rate-1] |= 0x80
-	for i := 0; i < rate/8; i++ {
-		state[i] ^= binary.LittleEndian.Uint64(block[i*8:])
-	}
-	KeccakF1600(&state)
-	return state
-}

@@ -85,23 +85,6 @@ func TestKeccakF1600Involution(t *testing.T) {
 	}
 }
 
-func TestKeccak1600StateMatchesSponge(t *testing.T) {
-	// The first 32 bytes of the absorbed state are the Keccak-256 digest.
-	msg := []byte("cryptonight seed material")
-	st := Keccak1600State(msg)
-	want := Keccak256(msg)
-	var got [32]byte
-	for i := 0; i < 4; i++ {
-		v := st[i]
-		for j := 0; j < 8; j++ {
-			got[i*8+j] = byte(v >> (8 * j))
-		}
-	}
-	if got != want {
-		t.Errorf("state prefix %x != digest %x", got, want)
-	}
-}
-
 func TestAESKnownVector(t *testing.T) {
 	// FIPS-197 Appendix B.
 	key, _ := hex.DecodeString("2b7e151628aed2a6abf7158809cf4f3c")

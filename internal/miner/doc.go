@@ -1,9 +1,8 @@
-// Package miner implements the cryptocurrency-mining substrate the paper
-// evaluates against (Sections II, V): a blockchain with Merkle-tree blocks
-// and proof-of-work validation, CryptoNight-lite (Monero-style: Keccak +
-// AES memory-hard loop) and Equihash-lite (Zcash-style: BLAKE2b
-// generalized-birthday) puzzles, an in-process TCP mining pool, throttled
-// and multi-threaded miner workloads for the OS-layer experiments, an ISA
-// mining program for instruction-signature experiments, and the Table IV
-// profitability model.
+// Package miner implements the cryptocurrency miners the paper evaluates
+// against (Sections II, V), judged only by what they execute: throttled
+// and multi-threaded Monero and Zcash rate models for the OS-layer
+// experiments, Monero-style (Keccak + AES) and Zcash-style (BLAKE2b) ISA
+// mining programs for instruction-signature experiments, each checked
+// against a native Go companion, the block header they hash, and the
+// Table IV profitability model.
 package miner
